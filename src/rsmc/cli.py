@@ -9,6 +9,7 @@ validation command found violations, 2 input error, 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -83,10 +84,10 @@ class PipelineConfig:
                 raise InvalidSpecError('rsm "external" needs a matrix file and nothing else')
         else:
             raise InvalidSpecError(f"unknown rsm kind {self.rsm!r}")
-        if not self.epsilon >= 0:
-            raise InvalidSpecError(f"epsilon must be >= 0, got {self.epsilon}")
-        if not self.tol >= 0:
-            raise InvalidSpecError(f"tol must be >= 0, got {self.tol}")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise InvalidSpecError(f"epsilon must be a finite number >= 0, got {self.epsilon}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise InvalidSpecError(f"tol must be a finite number >= 0, got {self.tol}")
 
 
 @dataclass(frozen=True)

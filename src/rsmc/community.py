@@ -12,11 +12,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import NegativeEpsilonError, TooLargeError, UnknownVertexError
+from .errors import (
+    NegativeEpsilonError,
+    ThresholdError,
+    TooLargeError,
+    UnknownVertexError,
+)
 from .rsm import RsmMatrix
 
 #: Default additive slack for the g <= epsilon comparisons.
@@ -53,13 +59,6 @@ class EffectiveEdgeGraph:
         object.__setattr__(self, "epsilon", float(self.epsilon))
         object.__setattr__(self, "rsm_tag", str(self.rsm_tag))
 
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
 
 @dataclass(frozen=True)
 class Community:
@@ -87,15 +86,20 @@ def refine(m: RsmMatrix, epsilon: float, tol: float = REFINE_TOL) -> EffectiveEd
     epsilon = float(epsilon)
     if math.isnan(epsilon) or epsilon < 0:
         raise NegativeEpsilonError(f"epsilon must be >= 0, got {epsilon}")
-    if not math.isfinite(epsilon):
-        raise ValueError("epsilon must be finite")
     tol = float(tol)
     if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be a nonnegative finite real, got {tol}")
+        raise ThresholdError(f"tol must be a nonnegative finite real, got {tol}")
+    thr = epsilon + tol
+    # an infinite threshold would relate +inf pairs across components
+    if not math.isfinite(thr):
+        raise ThresholdError(f"epsilon + tol must be finite, got {epsilon} + {tol}")
     vals = m.values
-    keep = (vals <= epsilon + tol) & (vals.T <= epsilon + tol)
-    keep &= np.triu(np.ones(vals.shape, dtype=bool), k=1)
-    edges = frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(keep)))
+    # a flat scan is far faster than a 2-D np.nonzero; keep each pair once, i < j
+    rows, cols = np.divmod(np.flatnonzero(vals <= thr), m.n)
+    upper = rows < cols
+    rows, cols = rows[upper], cols[upper]
+    both = vals[cols, rows] <= thr
+    edges = frozenset(zip(rows[both].tolist(), cols[both].tolist()))
     return EffectiveEdgeGraph(
         vertex_count=m.n, edges=edges, epsilon=epsilon, rsm_tag=m.source_rsm
     )
@@ -117,44 +121,59 @@ def is_community(members: Iterable[int], eeg: EffectiveEdgeGraph) -> bool:
     return True
 
 
-def _bron_kerbosch(adj: list[set[int]], r: set[int], p: set[int], x: set[int],
-                   out: list[frozenset[int]]) -> None:
-    if not p and not x:
-        out.append(frozenset(r))
-        return
-    pivot = max(sorted(p | x), key=lambda v: len(adj[v] & p))
-    for v in sorted(p - adj[pivot]):
-        _bron_kerbosch(adj, r | {v}, p & adj[v], x & adj[v], out)
-        p.discard(v)
-        x.add(v)
+def _adjacency_bits(eeg: EffectiveEdgeGraph) -> list[int]:
+    """Neighbourhood of each vertex as an int bitset (bit v set iff v is adjacent)."""
+    n = eeg.vertex_count
+    ends = np.fromiter(chain.from_iterable(eeg.edges), dtype=np.intp,
+                       count=2 * len(eeg.edges)).reshape(-1, 2)
+    dense = np.zeros((n, n), dtype=bool)
+    dense[ends[:, 0], ends[:, 1]] = True
+    dense[ends[:, 1], ends[:, 0]] = True
+    packed = np.packbits(dense, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _degeneracy_order(adj: list[set[int]]) -> list[int]:
-    n = len(adj)
-    degree = [len(a) for a in adj]
-    buckets: list[set[int]] = [set() for _ in range(n)]
-    for v, d in enumerate(degree):
-        buckets[d].add(v)
-    removed = [False] * n
-    order = []
-    d = 0
-    while len(order) < n:
-        while d < n and not buckets[d]:
-            d += 1
-        v = min(buckets[d])
-        buckets[d].discard(v)
-        removed[v] = True
-        order.append(v)
-        for nb in adj[v]:
-            if not removed[nb]:
-                buckets[degree[nb]].discard(nb)
-                degree[nb] -= 1
-                buckets[degree[nb]].add(nb)
-        d = max(d - 1, 0)
-    return order
+def _bits(s: int) -> Iterator[int]:
+    """Indices of the set bits of s, ascending."""
+    while s:
+        low = s & -s
+        yield low.bit_length() - 1
+        s ^= low
 
 
-def _canonical(cliques: Iterable[frozenset[int]], eeg: EffectiveEdgeGraph) -> list[Community]:
+def _maximal_cliques(adj: list[int]) -> list[int]:
+    """Every maximal clique of the graph with neighbourhoods ``adj``, as bitsets.
+
+    Bron-Kerbosch with Tomita's pivot (the vertex of P | X with the most
+    neighbours in P), run on an explicit stack of (R, P, X) bitset triples
+    so the depth is bounded by memory rather than the recursion limit.
+    """
+    out = []
+    stack = [(0, (1 << len(adj)) - 1, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                out.append(r)
+            continue
+        # a pivot adjacent to all of P but itself leaves at most one branch
+        enough = p.bit_count() - 1
+        pivot, best = -1, -1
+        for u in _bits(p | x):
+            count = (p & adj[u]).bit_count()
+            if count > best:
+                pivot, best = u, count
+                if count >= enough:
+                    break
+        for v in _bits(p & ~adj[pivot]):
+            bit = 1 << v
+            stack.append((r | bit, p & adj[v], x & adj[v]))
+            p ^= bit
+            x |= bit
+    return out
+
+
+def _canonical(cliques: Iterable[Iterable[int]], eeg: EffectiveEdgeGraph) -> list[Community]:
     ordered = sorted(tuple(sorted(c)) for c in cliques)
     return [
         Community(members=frozenset(c), maximal=True, epsilon=eeg.epsilon, rsm_tag=eeg.rsm_tag)
@@ -165,25 +184,16 @@ def _canonical(cliques: Iterable[frozenset[int]], eeg: EffectiveEdgeGraph) -> li
 def enumerate_maximal_communities(eeg: EffectiveEdgeGraph) -> list[Community]:
     """All maximal communities of an effective edge graph.
 
-    These are exactly the maximal cliques, found by Bron-Kerbosch with a
-    max-degree pivot; isolated vertices come out as singletons. Output is
+    These are exactly the maximal cliques, found by one iterative
+    Bron-Kerbosch search with Tomita pivoting over int bitsets: R, P, X and
+    every neighbourhood are bitsets, so each step is an AND and a popcount,
+    and the search keeps its own stack, so graphs of any size and density
+    take the same path. Isolated vertices come out as singletons. Output is
     canonically ordered (members ascending, communities lexicographic) so
     runs and implementations can be compared as plain lists.
     """
-    adj = eeg.adjacency()
-    n = eeg.vertex_count
-    out: list[frozenset[int]] = []
-    if n > 1000:
-        # keeps recursion depth near the degeneracy instead of n
-        order = _degeneracy_order(adj)
-        seen_pos = {v: i for i, v in enumerate(order)}
-        for v in order:
-            later = {nb for nb in adj[v] if seen_pos[nb] > seen_pos[v]}
-            earlier = adj[v] - later
-            _bron_kerbosch(adj, {v}, later, earlier, out)
-    else:
-        _bron_kerbosch(adj, set(), set(range(n)), set(), out)
-    return _canonical(out, eeg)
+    cliques = _maximal_cliques(_adjacency_bits(eeg))
+    return _canonical((tuple(_bits(c)) for c in cliques), eeg)
 
 
 def brute_force_maximal_communities(eeg: EffectiveEdgeGraph) -> list[Community]:

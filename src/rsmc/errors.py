@@ -35,6 +35,10 @@ class NegativeEpsilonError(RsmcError):
     """The community parameter must be nonnegative."""
 
 
+class ThresholdError(RsmcError, ValueError):
+    """A refinement threshold (epsilon, tol or their sum) is not a finite number."""
+
+
 class UnknownVertexError(RsmcError):
     """A vertex index is out of range for the graph at hand."""
 

@@ -132,12 +132,13 @@ def connected_components(g: Graph) -> ComponentPartition:
 
 
 def parse_edge_list(text: str, directed: bool = False) -> Graph:
-    """Parse a tab-separated edge list into a Graph.
+    """Parse a whitespace-separated edge list into a Graph.
 
-    Each line is either ``src<TAB>dst[<TAB>weight]`` (weight defaults to 1.0)
-    or a single token declaring an isolated vertex. Lines starting with ``#``
-    and blank lines are skipped. Vertex indices are assigned by order of
-    first appearance; the original tokens are kept as labels.
+    Each line is either ``src<TAB>dst[<TAB>weight]`` (any run of spaces/tabs
+    separates fields; weight defaults to 1.0) or a single token declaring an
+    isolated vertex. Lines starting with ``#`` and blank lines are skipped.
+    Vertex indices are assigned by order of first appearance; the original
+    tokens are kept as labels.
 
     Self-loops are dropped (counted in ``self_loops_dropped``); a repeated
     ordered pair raises DuplicateEdgeError, a negative or zero weight raises
@@ -160,9 +161,7 @@ def parse_edge_list(text: str, directed: bool = False) -> Graph:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = [t.strip() for t in line.split("\t")]
-        if any(t == "" for t in tokens):
-            raise ParseError("empty field", lineno)
+        tokens = line.split()
         if len(tokens) == 1:
             intern(tokens[0])
             continue

@@ -82,6 +82,31 @@ def test_detect_negative_epsilon(path3, capsys):
     assert main(["detect", "--input", path3, "--rsm", "sdf", "--epsilon", "-1"]) == 2
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_detect_non_finite_epsilon(path3, capsys, value):
+    assert main(["detect", "--input", path3, "--rsm", "sdf", "--epsilon", value]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_detect_non_finite_tol(path3, capsys, value):
+    assert main(["detect", "--input", path3, "--rsm", "sdf", "--epsilon", "1",
+                 "--tol", value]) == 2
+    assert main(["detect", "--input", path3, "--rsm", "sdf", "--epsilon-sweep", "0:2:1",
+                 "--tol", value]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 2
+
+
+def test_detect_epsilon_relating_every_pair(tmp_path, capsys):
+    # a 1200-vertex star: every pair is within distance 2, so one community
+    p = tmp_path / "star.tsv"
+    p.write_text("".join(f"hub\tv{i}\n" for i in range(1199)))
+    assert main(["detect", "--input", str(p), "--rsm", "sdf", "--epsilon", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["communities"]) == 1
+    assert len(doc["communities"][0]) == 1200
+
+
 def test_detect_sweep(path3, capsys):
     assert main(["detect", "--input", path3, "--rsm", "sdf",
                  "--epsilon-sweep", "0:2:1"]) == 0

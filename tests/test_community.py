@@ -12,6 +12,7 @@ from rsmc import (
     EffectiveEdgeGraph,
     NegativeEpsilonError,
     RsmMatrix,
+    ThresholdError,
     TooLargeError,
     UnknownVertexError,
     brute_force_maximal_communities,
@@ -81,6 +82,17 @@ def test_refine_rejects_bad_epsilon():
         refine(m, float("inf"))
     with pytest.raises(ValueError):
         refine(m, 1.0, tol=-1e-9)
+
+
+@pytest.mark.parametrize("epsilon, tol", [
+    (float("inf"), 1e-9),
+    (1.0, float("inf")),
+    (1.0, float("nan")),
+    (1.7e308, 1e308),
+])
+def test_refine_rejects_non_finite_threshold(epsilon, tol):
+    with pytest.raises(ThresholdError):
+        refine(sdf_matrix(path_graph(2)), epsilon, tol=tol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,8 +231,8 @@ def test_maximality_and_downward_closure(seed):
                 assert not is_community(mem + [v], eeg)
 
 
-def test_degeneracy_path_matches_on_large_sparse_graph():
-    # 400 disjoint triangles push past the degeneracy-ordering threshold
+def test_enumeration_matches_on_large_sparse_graph():
+    # 400 disjoint triangles: many small cliques spread over 1200 vertices
     n = 1200
     pairs = set()
     for t in range(400):
@@ -229,6 +241,33 @@ def test_degeneracy_path_matches_on_large_sparse_graph():
     found = enumerate_maximal_communities(eeg_from(n, pairs))
     assert len(found) == 400
     assert members(found) == [(3 * t, 3 * t + 1, 3 * t + 2) for t in range(400)]
+
+
+def test_enumerate_dense_threshold_gives_one_community():
+    # a clique deeper than the interpreter's recursion limit
+    n = 1200
+    eeg = eeg_from(n, {(i, j) for i in range(n) for j in range(i + 1, n)})
+    found = enumerate_maximal_communities(eeg)
+    assert len(found) == 1
+    assert found[0].members == frozenset(range(n))
+
+
+def test_enumeration_matches_networkx_on_large_sparse_graph():
+    nx = pytest.importorskip("networkx")
+    # random geometric graph: 2000 points in the unit square, ~40k closest pairs
+    rng = np.random.RandomState(2000)
+    x, y = rng.rand(2, 2000)
+    dist = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
+    eps = float(np.quantile(dist[np.triu_indices(2000, k=1)], 0.02))
+    eeg = refine(RsmMatrix(dist, "external"), eps)
+    assert 35_000 < len(eeg.edges) < 45_000
+    g = nx.Graph()
+    g.add_nodes_from(range(eeg.vertex_count))
+    g.add_edges_from(eeg.edges)
+    want = {frozenset(c) for c in nx.find_cliques(g)}
+    found = enumerate_maximal_communities(eeg)
+    assert len(found) == len(want)
+    assert {c.members for c in found} == want
 
 
 def test_eeg_validation():

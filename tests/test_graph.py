@@ -84,6 +84,18 @@ def test_parse_isolated_vertex_declaration():
     assert len(g.edges) == 1
 
 
+def test_parse_any_whitespace_run_separates_fields():
+    g = parse_edge_list("1 2\n2 3\n", directed=False)
+    assert g.vertex_count == 3
+    assert len(g.edges) == 2
+    mixed = parse_edge_list("a \t b\t  2.5\nb   c\n  d\t\n", directed=False)
+    assert mixed.effective_labels() == ("a", "b", "c", "d")
+    assert mixed.edges == ((0, 1, 2.5), (1, 2, 1.0))
+    with pytest.raises(ParseError) as exc:
+        parse_edge_list("a b\na b c d\n", directed=False)
+    assert exc.value.line_number == 2
+
+
 def test_graph_rejects_bad_construction():
     with pytest.raises(ValueError):
         Graph(vertex_count=0, edges=(), directed=False)
