@@ -159,6 +159,10 @@ def _write_out(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
+#: Largest number of epsilons one ``--epsilon-sweep`` may ask for.
+MAX_SWEEP_EPSILONS = 1_000_000
+
+
 def _parse_sweep(arg: str) -> list[float]:
     parts = arg.split(":")
     if len(parts) != 3:
@@ -167,8 +171,12 @@ def _parse_sweep(arg: str) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise ParseError(f"sweep bounds must be numbers, got {arg!r}") from None
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise ParseError(f"sweep bounds must be finite, got {arg!r}")
     if not (lo >= 0 and hi >= lo and step > 0):
         raise ParseError(f"sweep needs 0 <= lo <= hi and step > 0, got {arg!r}")
+    if (hi - lo) / step >= MAX_SWEEP_EPSILONS:
+        raise ParseError(f"sweep {arg!r} has more than {MAX_SWEEP_EPSILONS} epsilons")
     values = []
     k = 0
     while True:

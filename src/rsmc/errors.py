@@ -31,6 +31,14 @@ class DimensionMismatchError(RsmcError):
     """Matrix dimensions do not match the graph, or each other."""
 
 
+class MatrixValueError(RsmcError, ValueError):
+    """A relation strength matrix holds an entry outside [0, +inf] (NaN or -inf)."""
+
+
+class LabelError(RsmcError):
+    """A vertex label cannot be written to the edge-list format and read back."""
+
+
 class NegativeEpsilonError(RsmcError):
     """The community parameter must be nonnegative."""
 

@@ -11,7 +11,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import DuplicateEdgeError, ParseError, WeightError
+from .errors import DuplicateEdgeError, LabelError, ParseError, WeightError
 
 log = logging.getLogger(__name__)
 
@@ -213,9 +213,16 @@ def serialize_edge_list(g: Graph) -> str:
     Every vertex is declared on its own line first (keeping index order and
     isolated vertices across a round trip), then each edge follows with its
     weight printed at full precision, so ``parse_edge_list(serialize_edge_list(g),
-    g.directed) == g``.
+    g.directed) == g``. Labels are written verbatim, so a label the parser
+    would read differently (empty, holding whitespace, starting with ``#``,
+    or shared by two vertices) raises LabelError naming it.
     """
     labels = g.effective_labels()
+    seen: set[str] = set()
+    for label in labels:
+        if label.split() != [label] or label.startswith("#") or label in seen:
+            raise LabelError(f"vertex label {label!r} cannot be written to an edge list")
+        seen.add(label)
     lines = list(labels)
     for src, dst, weight in g.edges:
         lines.append(f"{labels[src]}\t{labels[dst]}\t{weight!r}")

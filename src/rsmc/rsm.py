@@ -13,8 +13,10 @@ import json
 import logging
 import math
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +27,7 @@ from .errors import (
     AllZeroProfileError,
     DimensionMismatchError,
     DirectedInputError,
+    MatrixValueError,
     NumericalError,
     ParseError,
     SingularityError,
@@ -61,9 +64,9 @@ class RsmMatrix:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise DimensionMismatchError(f"expected a nonempty square matrix, got shape {arr.shape}")
         if np.isnan(arr).any():
-            raise ValueError("matrix entries must not be NaN")
+            raise MatrixValueError("matrix entries must not be NaN")
         if np.isneginf(arr).any():
-            raise ValueError("matrix entries must not be -inf")
+            raise MatrixValueError("matrix entries must not be -inf")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "source_rsm", str(self.source_rsm))
@@ -271,40 +274,74 @@ class RsmValidationReport:
         return lines
 
 
-def _separations_by_cut_vertex(g: Graph) -> list[tuple[int, list[list[int]]]]:
+def _separations_by_cut_vertex(g: Graph) -> Iterator[tuple[int, list[list[int]]]]:
     """For every cut vertex w, the vertex groups its removal separates.
 
-    Brute force: drop each vertex in turn and re-run reachability inside its
-    original component. Quadratic but deterministic and obviously correct,
-    which is what a validator wants.
+    Cut vertices of the underlying undirected graph come in ascending order;
+    each one's groups are the connected components of its own component
+    minus w, sorted, and ordered by their smallest vertex. One iterative
+    Hopcroft-Tarjan depth-first search finds them in O(n + m): a tree child
+    c of w whose low-link does not reach above w cuts off its whole subtree,
+    which is a contiguous run of the preorder; the rest of the component is
+    one more group unless w is the search root. Pairs are yielded one at a
+    time because on a path the groups total O(n^2) vertices.
     """
     adj = undirected_adjacency(g)
-    partition = connected_components(g)
-    comps = partition.components()
-    out: list[tuple[int, list[list[int]]]] = []
-    for w in range(g.vertex_count):
-        comp = comps[partition.assignment[w]]
-        rest = [v for v in comp if v != w]
-        if len(rest) < 2:
+    n = g.vertex_count
+    disc = [-1] * n  # preorder position
+    low = [0] * n
+    size = [1] * n  # subtree size
+    comp_start = [0] * n  # preorder position of the component's root
+    cut_children: dict[int, list[int]] = {}
+    order: list[int] = []
+    for root in range(n):
+        if disc[root] != -1:
             continue
-        unvisited = set(rest)
-        parts: list[list[int]] = []
-        while unvisited:
-            start = min(unvisited)
-            stack = [start]
-            unvisited.discard(start)
-            part = [start]
-            while stack:
-                u = stack.pop()
-                for nb in adj[u]:
-                    if nb in unvisited:
-                        unvisited.discard(nb)
-                        stack.append(nb)
-                        part.append(nb)
-            parts.append(sorted(part))
+        start = len(order)
+        disc[root] = low[root] = start
+        comp_start[root] = start
+        order.append(root)
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            v, nbs = stack[-1]
+            for u in nbs:
+                if disc[u] == -1:
+                    disc[u] = low[u] = len(order)
+                    comp_start[u] = start
+                    order.append(u)
+                    stack.append((u, iter(adj[u])))
+                    break
+                if disc[u] < low[v]:
+                    low[v] = disc[u]
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    size[p] += size[v]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    if low[v] >= disc[p]:
+                        cut_children.setdefault(p, []).append(v)
+
+    for w in sorted(cut_children):
+        children = cut_children[w]
+        parts = [sorted(order[disc[c]:disc[c] + size[c]]) for c in children]
+        # the rest of w's component: its preorder run minus w and the cut-off
+        # runs, which ascend in the order the children finished
+        start = comp_start[w]
+        end = start + size[order[start]]
+        skip = [(disc[w], disc[w] + 1)] + [(disc[c], disc[c] + size[c]) for c in children]
+        kept = []
+        for lo, hi in skip:
+            kept.append(order[start:lo])
+            start = hi
+        kept.append(order[start:end])
+        rest = sorted(chain.from_iterable(kept))
+        if rest:
+            parts.append(rest)
         if len(parts) > 1:
-            out.append((w, parts))
-    return out
+            parts.sort(key=lambda part: part[0])
+            yield w, parts
 
 
 def _check_cut_additivity(vals: np.ndarray, g: Graph, tol: float) -> list[Violation]:
@@ -499,14 +536,18 @@ def speed_profile_stats(p: SpeedProfile, delta: float) -> SpeedStats:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _format_entry(v: float) -> str:
-    return "inf" if math.isinf(v) else repr(float(v))
+def _row_texts(m: RsmMatrix) -> list[str]:
+    """Each row as its entries' shortest round-trip reprs joined by ", "; +inf is ``inf``.
+
+    ``str`` of a list of Python floats formats every entry with ``repr``,
+    exactly as ``json.dumps`` writes a finite float, at C speed.
+    """
+    return [str(row)[1:-1] for row in m.values.tolist()]
 
 
 def rsm_to_csv(m: RsmMatrix) -> str:
     """Row-major CSV with an ``inf`` token for +inf, full float precision."""
-    lines = [",".join(_format_entry(v) for v in row) for row in m.values]
-    return "\n".join(lines) + "\n"
+    return "\n".join(_row_texts(m)).replace(", ", ",") + "\n"
 
 
 def rsm_from_csv(text: str, source_rsm: str = EXTERNAL_TAG) -> RsmMatrix:
@@ -536,9 +577,20 @@ def rsm_from_csv(text: str, source_rsm: str = EXTERNAL_TAG) -> RsmMatrix:
 
 
 def rsm_to_json(m: RsmMatrix) -> str:
-    """JSON document with nested value arrays; +inf becomes the string "inf"."""
-    values = [["inf" if math.isinf(v) else float(v) for v in row] for row in m.values]
-    return json.dumps({"rsm": m.source_rsm, "values": values}, indent=2) + "\n"
+    """JSON document with nested value arrays; +inf becomes the string "inf".
+
+    The layout is exactly that of ``json.dumps(doc, indent=2)``: one entry
+    per line. A finite float's repr never contains ``inf``, so replacing that
+    token quotes only the +inf entries.
+    """
+    body = "\n    ],\n    [\n      ".join(_row_texts(m))
+    body = body.replace(", ", ",\n      ").replace("inf", '"inf"')
+    return ('{\n  "rsm": ' + json.dumps(m.source_rsm) + ',\n  "values": [\n    [\n      '
+            + body + "\n    ]\n  ]\n}\n")
+
+
+#: Entry types ``json.loads`` yields for numbers; ``bool`` is excluded on purpose.
+_JSON_NUMBER_TYPES = {float, int}
 
 
 def rsm_from_json(text: str, source_rsm: str | None = None) -> RsmMatrix:
@@ -551,23 +603,26 @@ def rsm_from_json(text: str, source_rsm: str | None = None) -> RsmMatrix:
     raw = doc["values"]
     if not isinstance(raw, list) or not raw:
         raise ParseError('"values" must be a nonempty array of rows')
-    rows: list[list[float]] = []
+    rows: list[list] = []
     for row in raw:
         if not isinstance(row, list):
             raise ParseError("matrix rows must be arrays")
-        parsed = []
-        for v in row:
-            if v == "inf":
-                parsed.append(math.inf)
-            elif isinstance(v, (int, float)) and not isinstance(v, bool) and not math.isnan(v):
-                parsed.append(float(v))
-            else:
-                raise ParseError(f"bad matrix entry {v!r}")
-        rows.append(parsed)
+        if not set(map(type, row)) <= _JSON_NUMBER_TYPES:
+            row = [math.inf if v == "inf" else v for v in row]
+            for v in row:
+                if type(v) not in _JSON_NUMBER_TYPES:
+                    raise ParseError(f"bad matrix entry {v!r}")
+        rows.append(row)
     width = len(rows[0])
     if any(len(r) != width for r in rows) or len(rows) != width:
         raise DimensionMismatchError(
             f"expected a square matrix, got {len(rows)} rows of width {width}"
         )
+    try:
+        values = np.array(rows, dtype=float)
+    except OverflowError:
+        raise ParseError("integer matrix entry too large for a float") from None
+    if np.isnan(values).any():
+        raise ParseError("bad matrix entry nan")
     tag = source_rsm if source_rsm is not None else doc.get("rsm", EXTERNAL_TAG)
-    return RsmMatrix(values=np.array(rows), source_rsm=str(tag))
+    return RsmMatrix(values=values, source_rsm=str(tag))

@@ -2,13 +2,20 @@
 
 Everything here recomputes production quantities by a different algorithm:
 Floyd-Warshall instead of per-source Dijkstra, an eigendecomposition
-pseudoinverse instead of the shifted-inverse identity, and plain double
-loops instead of vectorized table lookups. Deliberately slow and simple.
+pseudoinverse instead of the shifted-inverse identity, plain double loops
+instead of vectorized table lookups, vertex-by-vertex removal instead of
+low-links, and ``json.dumps`` instead of string building. Deliberately slow
+and simple.
 """
 
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
+
+from rsmc.graph import connected_components, undirected_adjacency
 
 
 def floyd_warshall_distances(g) -> np.ndarray:
@@ -112,3 +119,51 @@ def combine_similarity_oracle(doc: dict) -> tuple[list[str], np.ndarray]:
                 total += doc["weights"][p_idx] * doc["tables"][prop][cu][cv]
             out[i, j] = total
     return labels, out
+
+
+def brute_force_separations(g) -> list[tuple[int, list[list[int]]]]:
+    """For every cut vertex w, the vertex groups its removal separates.
+
+    Drops each vertex in turn and re-runs reachability inside its original
+    component: O(n (n + m)), but obviously correct.
+    """
+    adj = undirected_adjacency(g)
+    partition = connected_components(g)
+    comps = partition.components()
+    out: list[tuple[int, list[list[int]]]] = []
+    for w in range(g.vertex_count):
+        comp = comps[partition.assignment[w]]
+        rest = [v for v in comp if v != w]
+        if len(rest) < 2:
+            continue
+        unvisited = set(rest)
+        parts: list[list[int]] = []
+        while unvisited:
+            start = min(unvisited)
+            stack = [start]
+            unvisited.discard(start)
+            part = [start]
+            while stack:
+                u = stack.pop()
+                for nb in adj[u]:
+                    if nb in unvisited:
+                        unvisited.discard(nb)
+                        stack.append(nb)
+                        part.append(nb)
+            parts.append(sorted(part))
+        if len(parts) > 1:
+            out.append((w, parts))
+    return out
+
+
+def json_dumps_rsm(m) -> str:
+    """The matrix JSON document written entry by entry through ``json.dumps``."""
+    values = [["inf" if math.isinf(v) else float(v) for v in row] for row in m.values]
+    return json.dumps({"rsm": m.source_rsm, "values": values}, indent=2) + "\n"
+
+
+def csv_join_rsm(m) -> str:
+    """The matrix CSV written entry by entry, ``repr`` per float."""
+    lines = [",".join("inf" if math.isinf(v) else repr(float(v)) for v in row)
+             for row in m.values]
+    return "\n".join(lines) + "\n"

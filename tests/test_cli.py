@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, formats, exit codes."""
 
+import contextlib
 import json
 
 import numpy as np
@@ -121,6 +122,42 @@ def test_detect_sweep_malformed(path3, capsys):
                  "--epsilon-sweep", "2:0:1"]) == 2
 
 
+@contextlib.contextmanager
+def address_space_cap(headroom: int = 512 << 20):
+    """Cap this process's address space ``headroom`` bytes above its current size.
+
+    A loop that grows a list without bound then ends in MemoryError within
+    seconds instead of taking the machine's memory.
+    """
+    resource = pytest.importorskip("resource")
+    try:
+        with open("/proc/self/statm") as fh:
+            used = int(fh.read().split()[0]) * resource.getpagesize()
+    except OSError:
+        pytest.skip("no /proc/self/statm")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if hard != resource.RLIM_INFINITY and used + headroom > hard:
+        pytest.skip("hard address-space limit too low")
+    resource.setrlimit(resource.RLIMIT_AS, (used + headroom, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize("sweep", ["0:inf:1", "0:1:inf", "nan:1:1", "0:1:1e-12", "0:1:1e-6"])
+def test_detect_sweep_unbounded_grid(path3, capsys, sweep):
+    # a non-finite bound or a grid of more than a million epsilons is refused up front
+    with address_space_cap():
+        try:
+            rc = main(["detect", "--input", path3, "--rsm", "sdf", "--epsilon-sweep", sweep])
+        except MemoryError:  # caught here so the runaway list is freed before reporting
+            rc = "MemoryError"
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_detect_source_conflicts(path3, sim_spec, capsys):
     assert main(["detect", "--input", path3, "--rsm", "sdf",
                  "--similarity-spec", sim_spec, "--epsilon", "1"]) == 2
@@ -175,6 +212,19 @@ def test_validate_rsm_pass_and_fail(path3, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "asymmetry" in out
+
+
+@pytest.mark.parametrize("name, text", [
+    ("neg.csv", "0,-inf\n1,0\n"),
+    ("neg.json", '{"values": [[0, -Infinity], [1, 0]]}'),
+    ("huge.json", '{"values": [[0, 1' + "0" * 400 + '], [1, 0]]}'),
+], ids=["csv-minus-inf", "json-minus-infinity", "json-int-overflow"])
+def test_validate_rsm_bad_entry_exits_2(tmp_path, capsys, name, text):
+    bad = tmp_path / name
+    bad.write_text(text)
+    assert main(["validate-rsm", "--matrix", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_validate_rsm_dimension_mismatch(path3, tmp_path, capsys):

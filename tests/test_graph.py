@@ -1,5 +1,7 @@
 """Edge-list parsing, graph invariants, components, serialization."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ import numpy as np
 from rsmc import (
     DuplicateEdgeError,
     Graph,
+    LabelError,
     ParseError,
     WeightError,
     connected_components,
@@ -158,6 +161,20 @@ def test_round_trip_keeps_isolated_vertices_and_labels():
     back = parse_edge_list(serialize_edge_list(g), directed=False)
     assert back == g
     assert back.effective_labels() == ("lonely", "x", "y")
+
+
+@pytest.mark.parametrize("labels, bad", [
+    (("a b", "c"), "a b"),
+    (("a\tb", "c"), "a\tb"),
+    (("", "c"), ""),
+    (("#a", "c"), "#a"),
+    (("c", "a\u2028"), "a\u2028"),
+    (("a", "a"), "a"),
+])
+def test_serialize_refuses_labels_that_do_not_round_trip(labels, bad):
+    g = Graph(2, ((0, 1, 1.0),), False, labels=labels)
+    with pytest.raises(LabelError, match=re.escape(repr(bad))):
+        serialize_edge_list(g)
 
 
 def test_scale_weights():

@@ -12,6 +12,7 @@ from rsmc import (
     DimensionMismatchError,
     DirectedInputError,
     Graph,
+    MatrixValueError,
     NumericalError,
     ParseError,
     RsmMatrix,
@@ -22,6 +23,7 @@ from rsmc import (
     erf_matrix,
     laplacian,
     laplacian_pseudoinverse,
+    load_builtin_dataset,
     rsm_from_csv,
     rsm_from_json,
     rsm_to_csv,
@@ -41,7 +43,15 @@ from graphgen import (
     random_graph,
     random_tree,
 )
-from oracles import floyd_warshall_distances, resistance_matrix_oracle
+from rsmc.rsm import _separations_by_cut_vertex
+
+from oracles import (
+    brute_force_separations,
+    csv_join_rsm,
+    floyd_warshall_distances,
+    json_dumps_rsm,
+    resistance_matrix_oracle,
+)
 
 
 def assert_matrices_match(actual, expected, tol=1e-9):
@@ -307,6 +317,62 @@ def test_cut_additivity_violation_detected():
 
 
 # ---------------------------------------------------------------------------
+# Cut vertices
+# ---------------------------------------------------------------------------
+
+def _disjoint_union(*graphs):
+    edges, offset = [], 0
+    for h in graphs:
+        edges += [(s + offset, d + offset, w) for s, d, w in h.edges]
+        offset += h.vertex_count
+    return Graph(offset, tuple(edges), False)
+
+
+SEPARATION_FAMILIES = {
+    "random": lambda rng: random_graph(rng, n_max=14),
+    "directed": lambda rng: random_graph(rng, n_max=14, directed=True),
+    "tree": lambda rng: random_tree(rng, n_max=14),
+    "sparse": lambda rng: random_connected_graph(rng, n_max=14, extra_p=0.1),
+    "barbell": lambda rng: barbell(rng)[0],
+    "disconnected": lambda rng: _disjoint_union(
+        barbell(rng)[0], random_tree(rng), random_graph(rng)),
+    "isolated": lambda rng: _disjoint_union(
+        Graph(1, (), False), random_tree(rng), Graph(2, (), False), barbell(rng)[0]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SEPARATION_FAMILIES))
+def test_separations_match_brute_force(family):
+    for seed in range(100):
+        g = SEPARATION_FAMILIES[family](np.random.RandomState(seed))
+        assert list(_separations_by_cut_vertex(g)) == brute_force_separations(g)
+
+
+@pytest.mark.parametrize("g", [
+    Graph(1, (), False),
+    path_graph(2),
+    path_graph(9),
+    cycle_graph(7),
+    complete_graph(5),
+    _disjoint_union(path_graph(4), cycle_graph(4), path_graph(3)),
+    Graph(4, ((0, 1, 1.0), (1, 0, 2.0), (2, 1, 1.0), (3, 2, 1.0)), directed=True),
+], ids=["n1", "path2", "path9", "cycle7", "k5", "path-cycle-path", "directed-path"])
+def test_separations_match_brute_force_on_fixed_graphs(g):
+    assert list(_separations_by_cut_vertex(g)) == brute_force_separations(g)
+
+
+def test_separations_on_a_long_path_need_no_recursion():
+    n = 5000
+    count = 0
+    for w, parts in _separations_by_cut_vertex(path_graph(n)):
+        count += 1
+        left, right = parts
+        assert (len(left), left[0], left[-1]) == (w, 0, w - 1)
+        assert (len(right), right[0], right[-1]) == (n - 1 - w, w + 1, n - 1)
+    assert count == n - 2
+
+
+# ---------------------------------------------------------------------------
 # Scaling
 # ---------------------------------------------------------------------------
 
@@ -396,6 +462,68 @@ def test_json_parsing_errors():
     m = rsm_from_json('{"rsm": "erf", "values": [[0, "inf"], ["inf", 0]]}')
     assert m.source_rsm == "erf"
     assert math.isinf(m.values[1, 0])
+
+
+@pytest.mark.parametrize("values", [
+    '[[0, "-inf"], [1, 0]]',
+    '[[0, "Infinity"], [1, 0]]',
+    '[[0, null], [1, 0]]',
+    '[[0, [1]], [1, 0]]',
+    '[[0, {"v": 1}], [1, 0]]',
+    '[[false, 1], [1, 0]]',
+    '[[0, NaN], [1, 0]]',
+    '[[0, 1], [1, 0], 3]',
+    '[[0, 1' + '0' * 400 + '], [1, 0]]',
+])
+def test_json_rejects_non_number_entries(values):
+    with pytest.raises(ParseError):
+        rsm_from_json('{"values": %s}' % values)
+
+
+@pytest.mark.parametrize("values", ['[[0, 1], [1]]', '[[0, 1], []]', '[[]]'])
+def test_json_rejects_ragged_rows(values):
+    with pytest.raises(DimensionMismatchError):
+        rsm_from_json('{"values": %s}' % values)
+
+
+def test_negative_infinity_entry_is_a_matrix_value_error():
+    with pytest.raises(MatrixValueError):
+        rsm_from_json('{"values": [[0, -Infinity], [1, 0]]}')
+    with pytest.raises(MatrixValueError):
+        rsm_from_csv("0,-inf\n1,0\n")
+
+
+def test_json_accepts_mixed_numbers_and_inf():
+    m = rsm_from_json('{"values": [[0, 2, "inf"], [2.5, 0, Infinity], ["inf", 1e308, 0]]}')
+    assert m.values.tolist() == [[0.0, 2.0, math.inf], [2.5, 0.0, math.inf],
+                                 [math.inf, 1e308, 0.0]]
+
+
+def _writer_cases():
+    karate = load_builtin_dataset("karate")
+    two_pairs = Graph(4, ((0, 1, 0.3), (2, 3, 1e-7)), False)
+    awkward = np.array([
+        [0.0, 1e300, np.inf],
+        [5e-324, -0.0, 1.5e-7],
+        [np.inf, 123456789012345678.0, 0.1],
+    ])
+    return {
+        "karate-sdf": sdf_matrix(karate),
+        "karate-erf": erf_matrix(karate),
+        "disconnected-inf": sdf_matrix(two_pairs),
+        "awkward-floats": RsmMatrix(awkward, "external"),
+        "one-by-one": RsmMatrix(np.zeros((1, 1)), "sdf"),
+        "escaped-tag": RsmMatrix(np.array([[0.0, np.inf], [np.inf, 0.0]]),
+                                 'in"f\\tab\t\u00e9\n'),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_writer_cases()))
+def test_matrix_writers_match_entrywise_reference(case):
+    m = _writer_cases()[case]
+    assert rsm_to_json(m) == json_dumps_rsm(m)
+    assert rsm_to_csv(m) == csv_join_rsm(m)
+    assert rsm_from_json(rsm_to_json(m)).source_rsm == m.source_rsm
 
 
 # ---------------------------------------------------------------------------
