@@ -12,15 +12,16 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
+import time
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotri
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components as csgraph_components
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
@@ -98,20 +99,31 @@ def sdf_matrix(g: Graph) -> RsmMatrix:
     return RsmMatrix(values=dist, source_rsm=SDF_TAG)
 
 
+def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Source indices, destination indices and weights of the edges, in edge order."""
+    if not g.edges:
+        return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)
+    src, dst, w = np.array(g.edges).T
+    return src.astype(np.intp), dst.astype(np.intp), w
+
+
 def laplacian(g: Graph) -> np.ndarray:
     """Weighted graph Laplacian (degree matrix minus adjacency matrix).
 
-    The degree of a vertex is the sum of the weights of its incident edges.
+    The degree of a vertex is the sum of the weights of its incident edges,
+    added in edge order.
     """
     if g.directed:
         raise DirectedInputError("Laplacian is defined for undirected graphs only")
     n = g.vertex_count
+    src, dst, w = _edge_arrays(g)
     lap = np.zeros((n, n))
-    for s, d, w in g.edges:
-        lap[s, s] += w
-        lap[d, d] += w
-        lap[s, d] -= w
-        lap[d, s] -= w
+    lap[src, dst] = lap[dst, src] = -w
+    # edges are sorted with src < dst, so listing each vertex's edges as dst
+    # before its edges as src adds them in the order a loop over edges would
+    lap[np.diag_indices(n)] = np.bincount(
+        np.concatenate([dst, src]), weights=np.concatenate([w, w]), minlength=n
+    )
     return lap
 
 
@@ -119,29 +131,63 @@ def laplacian_pseudoinverse(component: Graph, residual_tol: float = RESIDUAL_TOL
     """Generalized inverse of the Laplacian of a connected undirected graph.
 
     Uses the identity pinv(L) = inv(L + J/n) - J/n where J is the all-ones
-    matrix, exact for connected graphs. The result is symmetrized and checked
-    to satisfy L @ pinv @ L == L within ``residual_tol`` (max-norm), raising
-    NumericalError otherwise. A disconnected input makes L + J/n singular and
+    matrix, exact for connected graphs. L is first divided by the power of
+    two at or below its largest edge weight, which changes no digit, so the
+    result does not depend on the unit the weights are given in. The
+    shifted matrix is inverted through its Cholesky factor; the result is
+    exactly symmetric. The normalised L and its pseudoinverse P must satisfy
+    both L @ P @ L == L and L @ P == I - J/n within ``residual_tol``
+    (max-norm), or NumericalError is raised. A disconnected input, or a
+    shifted matrix the Cholesky factorisation finds not positive definite,
     raises SingularityError.
     """
     if component.directed:
         raise DirectedInputError("pseudoinverse is defined for undirected graphs only")
-    if connected_components(component).component_count != 1:
-        raise SingularityError("input graph is disconnected; per-component Laplacians required")
-    lap = laplacian(component)
+    started = time.perf_counter()
     n = component.vertex_count
-    shift = np.ones((n, n)) / n
-    try:
-        inv = np.linalg.inv(lap + shift)
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError(f"Laplacian shift matrix is singular: {exc}") from exc
-    pinv = inv - shift
-    pinv = (pinv + pinv.T) / 2.0
-    residual = float(np.abs(lap @ pinv @ lap - lap).max())
-    if not residual <= residual_tol:
-        raise NumericalError(
-            f"pseudoinverse residual {residual:.3e} exceeds tolerance {residual_tol:.3e}"
-        )
+    a = laplacian(component)
+    src, dst, w = _edge_arrays(component)
+    scale = math.ldexp(1.0, math.frexp(w.max())[1] - 1) if w.size else 1.0
+    a /= scale
+    diag = np.arange(n)
+    nonzero = (np.concatenate([src, dst, diag]), np.concatenate([dst, src, diag]))
+    lap_values = a[nonzero]
+    lap = csr_matrix((lap_values, nonzero), shape=(n, n))
+    if csgraph_components(lap, directed=False, return_labels=False) != 1:
+        raise SingularityError("input graph is disconnected; per-component Laplacians required")
+
+    a += 1.0 / n
+    # the C-order array goes in as its F-order transpose, the same symmetric
+    # matrix, so LAPACK needs no copy; the inverse's valid triangle is then
+    # the lower one of the C-order view
+    factor, info = dpotrf(a.T, lower=0, clean=0, overwrite_a=1)
+    if info == 0:
+        inverse, info = dpotri(factor, lower=0, overwrite_c=1)
+    if info != 0:
+        raise SingularityError(f"Laplacian shift matrix is not positive definite (LAPACK info {info})")
+    pinv = inverse.T
+    for i in range(n - 1):
+        pinv[i, i + 1:] = pinv[i + 1:, i]
+    pinv -= 1.0 / n
+
+    lp = lap @ pinv
+    lpl = lap @ lp.T  # L P L, as P and L are symmetric
+    lpl[nonzero] -= lap_values
+    lpl_residual = float(np.abs(lpl).max())
+    lp += 1.0 / n
+    lp[diag, diag] -= 1.0
+    lp_residual = float(np.abs(lp).max())
+    log.debug(
+        "pseudoinverse of a %d-vertex component at scale %g: LPL residual %.3e, "
+        "LP residual %.3e, %.3f s", n, scale, lpl_residual, lp_residual,
+        time.perf_counter() - started,
+    )
+    for what, residual in (("", lpl_residual), (" of L P against I - J/n", lp_residual)):
+        if not residual <= residual_tol:
+            raise NumericalError(
+                f"pseudoinverse residual{what} {residual:.3e} exceeds tolerance {residual_tol:.3e}"
+            )
+    pinv /= scale
     return pinv
 
 
@@ -158,22 +204,10 @@ def _subgraph(g: Graph, vertices: list[int], edges: list[tuple[int, int, float]]
 def _resistance_block(sub: Graph, residual_tol: float) -> np.ndarray:
     pinv = laplacian_pseudoinverse(sub, residual_tol=residual_tol)
     diag = np.diag(pinv)
-    block = diag[:, None] + diag[None, :] - 2.0 * pinv
-    np.fill_diagonal(block, 0.0)
+    block = diag[:, None] + diag[None, :]
+    pinv *= 2.0
+    block -= pinv
     return block
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("RSMC_THREADS")
-    if raw:
-        try:
-            cap = int(raw)
-            if cap >= 1:
-                return cap
-        except ValueError:
-            pass
-        log.warning("ignoring invalid RSMC_THREADS=%r", raw)
-    return os.cpu_count() or 1
 
 
 def erf_matrix(g: Graph, residual_tol: float = RESIDUAL_TOL) -> RsmMatrix:
@@ -184,9 +218,8 @@ def erf_matrix(g: Graph, residual_tol: float = RESIDUAL_TOL) -> RsmMatrix:
     the plain adjacency Laplacian. Per connected component the pseudoinverse
     P yields R[i, j] = P[i, i] + P[j, j] - 2 P[i, j]; pairs in different
     components get +inf. The conductance convention is what makes resistance
-    scale linearly when all weights scale. Components are processed
-    independently (in parallel when RSMC_THREADS allows) with a bit-identical
-    deterministic assembly.
+    scale linearly when all weights scale. Components are solved one after
+    another; the result is exactly symmetric.
     """
     if g.directed:
         raise DirectedInputError("effective resistance is defined for undirected graphs only")
@@ -200,18 +233,15 @@ def erf_matrix(g: Graph, residual_tol: float = RESIDUAL_TOL) -> RsmMatrix:
             raise NumericalError(f"edge ({s}, {d}) weight {w} is too small to invert")
         comp_edges[partition.assignment[s]].append((s, d, conductance))
 
-    subs = [_subgraph(g, comps[cid], comp_edges[cid]) for cid in range(len(comps))]
-    cap = min(_thread_cap(), len(subs))
-    if cap > 1 and len(subs) > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            blocks = list(pool.map(lambda s: _resistance_block(s, residual_tol), subs))
+    blocks = [_resistance_block(_subgraph(g, comp, edges), residual_tol)
+              for comp, edges in zip(comps, comp_edges)]
+    if len(blocks) == 1:
+        values = blocks[0]  # one component holds every vertex, in order
     else:
-        blocks = [_resistance_block(s, residual_tol) for s in subs]
-
-    values = np.full((n, n), np.inf)
-    for comp, block in zip(comps, blocks):
-        idx = np.asarray(comp)
-        values[np.ix_(idx, idx)] = block
+        values = np.full((n, n), np.inf)
+        for comp, block in zip(comps, blocks):
+            idx = np.asarray(comp)
+            values[np.ix_(idx, idx)] = block
     np.fill_diagonal(values, 0.0)
     return RsmMatrix(values=values, source_rsm=ERF_TAG)
 
@@ -550,6 +580,11 @@ def rsm_to_csv(m: RsmMatrix) -> str:
     return "\n".join(_row_texts(m)).replace(", ", ",") + "\n"
 
 
+#: How ``float`` spells infinity, after the sign; any other literal it reads
+#: as infinite is a finite number too large for a float.
+_INF_SPELLINGS = {"inf", "infinity"}
+
+
 def rsm_from_csv(text: str, source_rsm: str = EXTERNAL_TAG) -> RsmMatrix:
     rows: list[list[float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -558,12 +593,15 @@ def rsm_from_csv(text: str, source_rsm: str = EXTERNAL_TAG) -> RsmMatrix:
             continue
         row = []
         for tok in line.split(","):
+            tok = tok.strip()
             try:
-                v = float(tok.strip())
+                v = float(tok)
             except ValueError:
-                raise ParseError(f"bad matrix entry {tok.strip()!r}", lineno) from None
+                raise ParseError(f"bad matrix entry {tok!r}", lineno) from None
             if math.isnan(v):
-                raise ParseError(f"NaN matrix entry {tok.strip()!r}", lineno)
+                raise ParseError(f"NaN matrix entry {tok!r}", lineno)
+            if math.isinf(v) and tok.lstrip("+-").lower() not in _INF_SPELLINGS:
+                raise ParseError(f"matrix entry {tok!r} is too large for a float", lineno)
             row.append(v)
         rows.append(row)
     if not rows:
@@ -591,11 +629,14 @@ def rsm_to_json(m: RsmMatrix) -> str:
 
 #: Entry types ``json.loads`` yields for numbers; ``bool`` is excluded on purpose.
 _JSON_NUMBER_TYPES = {float, int}
+#: ``json.loads`` reads the literal ``Infinity`` as the "inf" tag, so that any
+#: other infinite float it returns is a finite literal too large for a float.
+_JSON_CONSTANTS = {"Infinity": "inf", "-Infinity": -math.inf, "NaN": math.nan}
 
 
 def rsm_from_json(text: str, source_rsm: str | None = None) -> RsmMatrix:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_JSON_CONSTANTS.__getitem__)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad matrix JSON: {exc}") from exc
     if not isinstance(doc, dict) or "values" not in doc:
@@ -604,10 +645,12 @@ def rsm_from_json(text: str, source_rsm: str | None = None) -> RsmMatrix:
     if not isinstance(raw, list) or not raw:
         raise ParseError('"values" must be a nonempty array of rows')
     rows: list[list] = []
+    tagged_inf = 0
     for row in raw:
         if not isinstance(row, list):
             raise ParseError("matrix rows must be arrays")
         if not set(map(type, row)) <= _JSON_NUMBER_TYPES:
+            tagged_inf += row.count("inf")
             row = [math.inf if v == "inf" else v for v in row]
             for v in row:
                 if type(v) not in _JSON_NUMBER_TYPES:
@@ -624,5 +667,7 @@ def rsm_from_json(text: str, source_rsm: str | None = None) -> RsmMatrix:
         raise ParseError("integer matrix entry too large for a float") from None
     if np.isnan(values).any():
         raise ParseError("bad matrix entry nan")
+    if np.count_nonzero(np.isposinf(values)) != tagged_inf:
+        raise ParseError("finite matrix entry too large for a float")
     tag = source_rsm if source_rsm is not None else doc.get("rsm", EXTERNAL_TAG)
     return RsmMatrix(values=values, source_rsm=str(tag))

@@ -3,9 +3,9 @@
 Everything here recomputes production quantities by a different algorithm:
 Floyd-Warshall instead of per-source Dijkstra, an eigendecomposition
 pseudoinverse instead of the shifted-inverse identity, plain double loops
-instead of vectorized table lookups, vertex-by-vertex removal instead of
-low-links, and ``json.dumps`` instead of string building. Deliberately slow
-and simple.
+instead of vectorized table lookups, an edge loop instead of scattered
+Laplacian entries, vertex-by-vertex removal instead of low-links, and
+``json.dumps`` instead of string building. Deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -30,6 +30,18 @@ def floyd_warshall_distances(g) -> np.ndarray:
     for k in range(n):
         dist = np.minimum(dist, dist[:, k][:, None] + dist[k, :][None, :])
     return dist
+
+
+def edge_loop_laplacian(g) -> np.ndarray:
+    """Weighted Laplacian accumulated one edge at a time, in edge order."""
+    n = g.vertex_count
+    lap = np.zeros((n, n))
+    for s, d, w in g.edges:
+        lap[s, s] += w
+        lap[d, d] += w
+        lap[s, d] -= w
+        lap[d, s] -= w
+    return lap
 
 
 def eig_pseudoinverse(lap: np.ndarray, cutoff: float = 1e-10) -> np.ndarray:

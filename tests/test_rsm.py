@@ -1,5 +1,6 @@
 """RSM construction against independent oracles, axiom validation, serialization."""
 
+import logging
 import math
 
 import numpy as np
@@ -48,6 +49,7 @@ from rsmc.rsm import _separations_by_cut_vertex
 from oracles import (
     brute_force_separations,
     csv_join_rsm,
+    edge_loop_laplacian,
     floyd_warshall_distances,
     json_dumps_rsm,
     resistance_matrix_oracle,
@@ -127,7 +129,7 @@ def test_erf_cross_component_is_inf():
 
 
 def test_pseudoinverse_requires_connected():
-    with pytest.raises(SingularityError):
+    with pytest.raises(SingularityError, match="disconnected"):
         laplacian_pseudoinverse(Graph(3, ((0, 1, 1.0),), directed=False))
 
 
@@ -139,6 +141,15 @@ def test_pseudoinverse_residual_reported():
         directed=False,
     )
     with pytest.raises(NumericalError):
+        erf_matrix(g)
+
+
+def test_pseudoinverse_projection_residual_reported():
+    # L @ P @ L == L holds to 1e-24 here, because L's tiny entries shrink the
+    # error in P; L @ P == I - J/n exposes it (R(0, 1) would come out 3.7e4
+    # instead of 1e12)
+    g = Graph(3, ((0, 1, 1e12), (1, 2, 1e-12)), directed=False)
+    with pytest.raises(NumericalError, match="L P against"):
         erf_matrix(g)
 
 
@@ -170,7 +181,7 @@ def test_erf_dominated_by_sdf_on_unit_graphs(seed):
     assert (r <= d + 1e-9).all()
 
 
-def test_erf_deterministic_across_thread_caps(monkeypatch):
+def _four_components() -> Graph:
     rng = np.random.RandomState(7)
     parts = [random_connected_graph(rng, n_max=6) for _ in range(4)]
     edges = []
@@ -178,13 +189,62 @@ def test_erf_deterministic_across_thread_caps(monkeypatch):
     for part in parts:
         edges.extend((s + offset, d + offset, w) for s, d, w in part.edges)
         offset += part.vertex_count
-    g = Graph(offset, tuple(edges), directed=False)
+    return Graph(offset, tuple(edges), directed=False)
 
-    monkeypatch.setenv("RSMC_THREADS", "1")
-    serial = erf_matrix(g).values
-    monkeypatch.setenv("RSMC_THREADS", "4")
-    threaded = erf_matrix(g).values
-    assert (serial == threaded).all()
+
+def test_erf_deterministic_across_thread_caps():
+    g = _four_components()
+    first = erf_matrix(g).values
+    second = erf_matrix(g).values
+    assert (first == second).all()
+
+
+def test_erf_bitwise_symmetric_on_multi_component_graph():
+    g = _four_components()
+    assert connected_components(g).component_count == 4
+    r = erf_matrix(g).values
+    assert (r == r.T).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_laplacian_matches_edge_loop(seed):
+    g = random_graph(np.random.RandomState(seed), n_max=12)
+    assert (laplacian(g) == edge_loop_laplacian(g)).all()
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 1e6, 1e-12])
+def test_erf_is_scale_invariant_on_karate(alpha):
+    karate = load_builtin_dataset("karate")
+    m = erf_matrix(karate)
+    assert check_scaling(m, erf_matrix(scale_weights(karate, alpha)), alpha)
+
+
+def test_cholesky_failure_is_a_singularity_error():
+    # conductances 30 orders of magnitude apart leave L + J/n numerically
+    # indefinite, which the Cholesky factorisation reports
+    g = Graph(5, tuple((i, i + 1, 1e15 if i % 2 == 0 else 1e-15) for i in range(4)),
+              directed=False)
+    with pytest.raises(SingularityError, match="not positive definite"):
+        erf_matrix(g)
+
+
+def test_erf_finds_components_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr("rsmc.rsm.connected_components",
+                        lambda g: calls.append(g) or connected_components(g))
+    erf_matrix(_four_components())
+    assert len(calls) == 1
+
+
+def test_erf_logs_one_debug_line_per_component(caplog):
+    with caplog.at_level(logging.DEBUG, logger="rsmc.rsm"):
+        erf_matrix(_four_components())
+    lines = [r.getMessage() for r in caplog.records if r.name == "rsmc.rsm"]
+    assert len(lines) == 4
+    for line in lines:
+        assert "-vertex component at scale" in line
+        assert "LPL residual" in line and "LP residual" in line
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +534,8 @@ def test_json_parsing_errors():
     '[[0, NaN], [1, 0]]',
     '[[0, 1], [1, 0], 3]',
     '[[0, 1' + '0' * 400 + '], [1, 0]]',
+    '[[0, 1e400], [1e400, 0]]',
+    '[[0, "inf"], [1e400, 0]]',
 ])
 def test_json_rejects_non_number_entries(values):
     with pytest.raises(ParseError):
@@ -491,6 +553,21 @@ def test_negative_infinity_entry_is_a_matrix_value_error():
         rsm_from_json('{"values": [[0, -Infinity], [1, 0]]}')
     with pytest.raises(MatrixValueError):
         rsm_from_csv("0,-inf\n1,0\n")
+
+
+@pytest.mark.parametrize("token", ["1e400", "-1e400", "1_0e400", "+2E999"])
+def test_csv_rejects_a_finite_entry_too_large_for_a_float(token):
+    with pytest.raises(ParseError, match="too large"):
+        rsm_from_csv(f"0,{token}\n{token},0\n")
+
+
+def test_readers_accept_every_inf_spelling():
+    for token in ("inf", "Inf", "+inf", "INFINITY", "infinity", " inf "):
+        m = rsm_from_csv(f"0,{token}\n{token},0\n")
+        assert m.values[0, 1] == m.values[1, 0] == math.inf
+    for entry in ('"inf"', "Infinity"):
+        m = rsm_from_json('{"values": [[0, %s], [%s, 0]]}' % (entry, entry))
+        assert m.values[0, 1] == m.values[1, 0] == math.inf
 
 
 def test_json_accepts_mixed_numbers_and_inf():
