@@ -15,12 +15,10 @@ from .community import (
     communities_to_dot,
     communities_to_json,
     enumerate_maximal_communities,
-    is_community,
     refine,
 )
 from .datasets import builtin_dataset_names, load_builtin_dataset
 from .errors import (
-    AllZeroProfileError,
     DimensionMismatchError,
     DirectedInputError,
     DuplicateEdgeError,
@@ -38,34 +36,18 @@ from .errors import (
     UnknownVertexError,
     WeightError,
 )
-from .graph import (
-    ComponentPartition,
-    Graph,
-    connected_components,
-    parse_edge_list,
-    scale_weights,
-    serialize_edge_list,
-)
+from .graph import Graph, parse_edge_list, serialize_edge_list
 from .rsm import (
-    ERF_TAG,
-    EXTERNAL_TAG,
-    SDF_TAG,
-    SIMILARITY_TAG,
     RsmMatrix,
     RsmValidationReport,
-    SpeedProfile,
-    SpeedStats,
     Violation,
     check_scaling,
     erf_matrix,
-    laplacian,
-    laplacian_pseudoinverse,
     rsm_from_csv,
     rsm_from_json,
     rsm_to_csv,
     rsm_to_json,
     sdf_matrix,
-    speed_profile_stats,
     validate_rsm,
 )
 from .similarity import (
@@ -81,15 +63,11 @@ from .similarity import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllZeroProfileError",
     "CaseTable",
     "Community",
-    "ComponentPartition",
     "DimensionMismatchError",
     "DirectedInputError",
     "DuplicateEdgeError",
-    "ERF_TAG",
-    "EXTERNAL_TAG",
     "EffectiveEdgeGraph",
     "Graph",
     "InvalidSpecError",
@@ -103,13 +81,9 @@ __all__ = [
     "RsmMatrix",
     "RsmValidationReport",
     "RsmcError",
-    "SDF_TAG",
-    "SIMILARITY_TAG",
     "SimilaritySpec",
     "SimilarityWarning",
     "SingularityError",
-    "SpeedProfile",
-    "SpeedStats",
     "TableReport",
     "ThresholdError",
     "TooLargeError",
@@ -124,12 +98,8 @@ __all__ = [
     "communities_to_csv",
     "communities_to_dot",
     "communities_to_json",
-    "connected_components",
     "enumerate_maximal_communities",
     "erf_matrix",
-    "is_community",
-    "laplacian",
-    "laplacian_pseudoinverse",
     "load_builtin_dataset",
     "parse_edge_list",
     "parse_similarity_json",
@@ -139,10 +109,8 @@ __all__ = [
     "rsm_to_csv",
     "rsm_to_json",
     "run_pipeline",
-    "scale_weights",
     "sdf_matrix",
     "serialize_edge_list",
-    "speed_profile_stats",
     "validate_rsm",
     "validate_similarity_table",
 ]

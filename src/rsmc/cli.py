@@ -41,8 +41,8 @@ from .rsm import (
 )
 from .similarity import (
     SimilaritySpec,
-    _load_similarity_parts,
     combine_similarities,
+    load_similarity_parts,
     parse_similarity_json,
     validate_similarity_table,
 )
@@ -68,12 +68,12 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.rsm in ("sdf", "erf"):
+            if self.similarity_spec_path or self.matrix_path:
+                raise InvalidSpecError("graph-based rsm takes no spec/matrix file")
             if (self.input_path is None) == (self.builtin is None):
                 raise InvalidSpecError(
                     f"rsm {self.rsm!r} needs exactly one graph source (input file or builtin)"
                 )
-            if self.similarity_spec_path or self.matrix_path:
-                raise InvalidSpecError("graph-based rsm takes no spec/matrix file")
         elif self.rsm == "similarity":
             if self.similarity_spec_path is None or self.input_path or self.builtin \
                     or self.matrix_path:
@@ -116,18 +116,18 @@ def _load_matrix_file(path: str) -> RsmMatrix:
     return rsm_from_csv(text)
 
 
-def _load_graph(cfg: PipelineConfig) -> Graph:
-    if cfg.builtin is not None:
-        return load_builtin_dataset(cfg.builtin)
-    return parse_edge_list(_read(cfg.input_path), directed=cfg.directed)
+def _load_graph(input_path: str | None, builtin: str | None, directed: bool) -> Graph:
+    if builtin is not None:
+        return load_builtin_dataset(builtin)
+    return parse_edge_list(_read(input_path), directed=directed)
 
 
 def resolve_rsm(cfg: PipelineConfig) -> tuple[RsmMatrix, list[str], Graph | None]:
     """Produce the RSM matrix and vertex labels a config asks for."""
     if cfg.rsm in ("sdf", "erf"):
-        g = _load_graph(cfg)
+        g = _load_graph(cfg.input_path, cfg.builtin, cfg.directed)
         m = sdf_matrix(g) if cfg.rsm == "sdf" else erf_matrix(g)
-        return m, list(g.effective_labels()), g
+        return m, list(g.labels), g
     if cfg.rsm == "similarity":
         spec = parse_similarity_json(_read(cfg.similarity_spec_path))
         return combine_similarities(spec), list(spec.vertex_labels), None
@@ -206,24 +206,16 @@ def _rsm_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args: argparse.Namespace, epsilon: float, tol: float) -> PipelineConfig:
-    graph_family = (args.input is not None or args.builtin is not None
-                    or args.rsm is not None)
-    families = [kind for kind, active in (
-        ("graph", graph_family),
-        ("similarity", args.similarity_spec is not None),
-        ("external", args.matrix is not None),
-    ) if active]
-    if len(families) != 1:
-        raise InvalidSpecError(
-            "specify exactly one relation source: a graph with --rsm, "
-            "--similarity-spec, or --matrix"
-        )
-    if families[0] == "graph":
-        if args.rsm is None:
-            raise InvalidSpecError("--rsm {sdf,erf} is required with a graph input")
+    if args.rsm is not None:
         kind = args.rsm
+    elif args.similarity_spec is not None:
+        kind = "similarity"
+    elif args.matrix is not None:
+        kind = "external"
     else:
-        kind = families[0]
+        raise InvalidSpecError(
+            "specify a relation source: a graph with --rsm, --similarity-spec, or --matrix"
+        )
     return PipelineConfig(
         rsm=kind,
         epsilon=epsilon,
@@ -280,14 +272,11 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 def cmd_validate_rsm(args: argparse.Namespace) -> int:
     m = _load_matrix_file(args.matrix)
+    if args.input is not None and args.builtin is not None:
+        raise InvalidSpecError("give either --input or --builtin, not both")
     g = None
     if args.input is not None or args.builtin is not None:
-        if args.input is not None and args.builtin is not None:
-            raise InvalidSpecError("give either --input or --builtin, not both")
-        if args.builtin is not None:
-            g = load_builtin_dataset(args.builtin)
-        else:
-            g = parse_edge_list(_read(args.input), directed=args.directed)
+        g = _load_graph(args.input, args.builtin, args.directed)
     report = validate_rsm(m, g, tol=args.tol)
     for line in report.summary_lines():
         print(line)
@@ -295,7 +284,7 @@ def cmd_validate_rsm(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_similarity(args: argparse.Namespace) -> int:
-    props, tables, weights, assignments = _load_similarity_parts(_read(args.spec))
+    props, tables, weights, assignments = load_similarity_parts(_read(args.spec))
     failed = False
     for prop in props:
         report = validate_similarity_table(tables[prop])

@@ -44,7 +44,7 @@ class NegativeEpsilonError(RsmcError):
 
 
 class ThresholdError(RsmcError, ValueError):
-    """A refinement threshold (epsilon, tol or their sum) is not a finite number."""
+    """A threshold or tolerance (epsilon, tol or their sum) is out of its allowed range."""
 
 
 class UnknownVertexError(RsmcError):
@@ -53,10 +53,6 @@ class UnknownVertexError(RsmcError):
 
 class TooLargeError(RsmcError):
     """Input exceeds the size cap of an exhaustive operation."""
-
-
-class AllZeroProfileError(RsmcError):
-    """A speed profile with no positive sample has no transmission-time statistics."""
 
 
 class InvalidSpecError(RsmcError):

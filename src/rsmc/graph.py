@@ -72,12 +72,6 @@ class Graph:
         canonical.sort()
         object.__setattr__(self, "edges", tuple(canonical))
 
-    def label_of(self, v: int) -> str:
-        return self.labels[v]
-
-    def effective_labels(self) -> tuple[str, ...]:
-        return self.labels
-
 
 @dataclass(frozen=True)
 class ComponentPartition:
@@ -217,7 +211,7 @@ def serialize_edge_list(g: Graph) -> str:
     would read differently (empty, holding whitespace, starting with ``#``,
     or shared by two vertices) raises LabelError naming it.
     """
-    labels = g.effective_labels()
+    labels = g.labels
     seen: set[str] = set()
     for label in labels:
         if label.split() != [label] or label.startswith("#") or label in seen:

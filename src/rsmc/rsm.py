@@ -16,7 +16,6 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri
@@ -25,15 +24,15 @@ from scipy.sparse.csgraph import connected_components as csgraph_components
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
-    AllZeroProfileError,
     DimensionMismatchError,
     DirectedInputError,
     MatrixValueError,
     NumericalError,
     ParseError,
     SingularityError,
+    ThresholdError,
 )
-from .graph import ComponentPartition, Graph, connected_components, undirected_adjacency
+from .graph import Graph, connected_components, undirected_adjacency
 
 log = logging.getLogger(__name__)
 
@@ -78,13 +77,8 @@ class RsmMatrix:
 
 
 def _edge_csr(g: Graph) -> csr_matrix:
-    n = g.vertex_count
-    if not g.edges:
-        return csr_matrix((n, n))
-    rows = [s for s, _, _ in g.edges]
-    cols = [d for _, d, _ in g.edges]
-    data = [w for _, _, w in g.edges]
-    return csr_matrix((data, (rows, cols)), shape=(n, n))
+    src, dst, w = _edge_arrays(g)
+    return csr_matrix((w, (src, dst)), shape=(g.vertex_count, g.vertex_count))
 
 
 def sdf_matrix(g: Graph) -> RsmMatrix:
@@ -191,13 +185,12 @@ def laplacian_pseudoinverse(component: Graph, residual_tol: float = RESIDUAL_TOL
     return pinv
 
 
-def _subgraph(g: Graph, vertices: list[int], edges: list[tuple[int, int, float]]) -> Graph:
+def _subgraph(vertices: list[int], edges: list[tuple[int, int, float]]) -> Graph:
     pos = {v: i for i, v in enumerate(vertices)}
     return Graph(
         vertex_count=len(vertices),
         edges=tuple((pos[s], pos[d], w) for s, d, w in edges),
         directed=False,
-        labels=tuple(g.label_of(v) for v in vertices),
     )
 
 
@@ -233,7 +226,7 @@ def erf_matrix(g: Graph, residual_tol: float = RESIDUAL_TOL) -> RsmMatrix:
             raise NumericalError(f"edge ({s}, {d}) weight {w} is too small to invert")
         comp_edges[partition.assignment[s]].append((s, d, conductance))
 
-    blocks = [_resistance_block(_subgraph(g, comp, edges), residual_tol)
+    blocks = [_resistance_block(_subgraph(comp, edges), residual_tol)
               for comp, edges in zip(comps, comp_edges)]
     if len(blocks) == 1:
         values = blocks[0]  # one component holds every vertex, in order
@@ -374,6 +367,23 @@ def _separations_by_cut_vertex(g: Graph) -> Iterator[tuple[int, list[list[int]]]
             yield w, parts
 
 
+def triangle_breaks(vals: np.ndarray, tol: float) -> list[tuple[int, int, int, float]]:
+    """Every finite entry of a square matrix that breaks the triangle inequality.
+
+    Entry (i, j) breaks it when it exceeds the shortest two-leg route
+    vals[i, k] + vals[k, j] by more than ``tol``. Breaks come row by row as
+    (i, k, j, excess), k being the first vertex of a shortest route.
+    """
+    found = []
+    for i in range(len(vals)):
+        best = (vals[i][:, None] + vals).min(axis=0)
+        row_bad = np.isfinite(vals[i]) & ~(vals[i] <= best + tol)
+        for j in np.nonzero(row_bad)[0]:
+            k = int(np.argmin(vals[i] + vals[:, j]))
+            found.append((i, k, int(j), float(vals[i, j] - best[j])))
+    return found
+
+
 def _check_cut_additivity(vals: np.ndarray, g: Graph, tol: float) -> list[Violation]:
     found: list[Violation] = []
     for w, parts in _separations_by_cut_vertex(g):
@@ -409,7 +419,7 @@ def validate_rsm(m: RsmMatrix, g: Graph | None = None, tol: float = AXIOM_TOL) -
     in :func:`check_scaling`.
     """
     if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a positive finite real, got {tol}")
+        raise ThresholdError(f"tol must be a positive finite real, got {tol}")
     vals = m.values
     n = m.n
     if g is not None and g.vertex_count != n:
@@ -442,16 +452,9 @@ def validate_rsm(m: RsmMatrix, g: Graph | None = None, tol: float = AXIOM_TOL) -
             violations.append(Violation("infinity-pattern", (int(i), int(j)), float(vals[i, j])))
         connectivity = not pattern_bad.any()
 
-    triangle_ok = True
-    for i in range(n):
-        best = (vals[i][:, None] + vals).min(axis=0)
-        row_bad = np.isfinite(vals[i]) & ~(vals[i] <= best + tol)
-        for j in np.nonzero(row_bad)[0]:
-            k = int(np.argmin(vals[i] + vals[:, j]))
-            violations.append(
-                Violation("triangle", (i, k, int(j)), float(vals[i, j] - best[j]))
-            )
-            triangle_ok = False
+    breaks = triangle_breaks(vals, tol)
+    violations.extend(Violation("triangle", (i, k, j), excess) for i, k, j, excess in breaks)
+    triangle_ok = not breaks
     if g is not None:
         cut_violations = _check_cut_additivity(vals, g, tol)
         violations.extend(cut_violations)
@@ -500,66 +503,6 @@ def check_scaling(m: RsmMatrix, m_scaled: RsmMatrix, alpha: float, tol: float = 
         return False
     finite = ~inf_a
     return bool(np.all(np.abs(m_scaled.values[finite] - alpha * m.values[finite]) <= tol))
-
-
-# ---------------------------------------------------------------------------
-# Speed profiles
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpeedProfile:
-    """Sampled transmission speed over time for one node pair.
-
-    Samples are (time, speed) pairs with strictly increasing nonnegative
-    times and nonnegative speeds.
-    """
-
-    samples: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        norm = tuple((float(t), float(s)) for t, s in self.samples)
-        prev = -math.inf
-        for t, s in norm:
-            if not (math.isfinite(t) and t >= 0):
-                raise ValueError(f"sample time {t} must be a nonnegative finite real")
-            if not (math.isfinite(s) and s >= 0):
-                raise ValueError(f"sample speed {s} must be a nonnegative finite real")
-            if t <= prev:
-                raise ValueError("sample times must be strictly increasing")
-            prev = t
-        object.__setattr__(self, "samples", norm)
-
-
-class SpeedStats(NamedTuple):
-    #: Earliest sampled time with positive speed.
-    stt: float
-    #: Earliest sampled time at or above the threshold, None if never reached.
-    cm: float | None
-
-
-def speed_profile_stats(p: SpeedProfile, delta: float) -> SpeedStats:
-    """Shortest transmission time and critical moment of a speed profile.
-
-    ``stt`` is the first sample time with speed > 0; ``delta`` is the lowest
-    acceptable speed and ``cm`` is the first sample time with speed >= delta,
-    or None when the threshold is never reached. A profile that never goes
-    positive (or has no samples at all) raises AllZeroProfileError.
-    """
-    delta = float(delta)
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be a positive finite real, got {delta}")
-    stt = None
-    cm = None
-    for t, s in p.samples:
-        if stt is None and s > 0:
-            stt = t
-        if cm is None and s >= delta:
-            cm = t
-        if stt is not None and cm is not None:
-            break
-    if stt is None:
-        raise AllZeroProfileError("no sample has positive speed")
-    return SpeedStats(stt=stt, cm=cm)
 
 
 # ---------------------------------------------------------------------------

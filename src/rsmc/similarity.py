@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidSpecError, ParseError
-from .rsm import SIMILARITY_TAG, RsmMatrix, Violation
+from .rsm import SIMILARITY_TAG, RsmMatrix, Violation, triangle_breaks
 
 
 class SimilarityWarning(UserWarning):
@@ -107,21 +107,15 @@ def validate_similarity_table(table: CaseTable, tol: float = 1e-12) -> TableRepo
         )
     symmetry = not asym.any()
 
-    triangle = True
-    for i in range(n):
-        best = (vals[i][:, None] + vals).min(axis=0)
-        for j in np.nonzero(~(vals[i] <= best + tol))[0]:
-            k = int(np.argmin(vals[i] + vals[:, j]))
-            violations.append(
-                Violation("triangle", (names[i], names[k], names[j]), float(vals[i, j] - best[j]))
-            )
-            triangle = False
+    breaks = triangle_breaks(vals, tol)
+    for i, k, j, excess in breaks:
+        violations.append(Violation("triangle", (names[i], names[k], names[j]), excess))
 
     return TableReport(
         nonnegativity=nonnegativity,
         coincidence=coincidence,
         symmetry=symmetry,
-        triangle=triangle,
+        triangle=not breaks,
         violations=tuple(violations),
     )
 
@@ -249,11 +243,21 @@ def _reject_duplicate_keys(pairs):
     return seen
 
 
-def _load_similarity_parts(text: str):
+def _float_array(value, what: str) -> np.ndarray:
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError:
+        raise ParseError(f"{what} holds an integer too large for a float") from None
+    except ValueError:
+        raise ParseError(f"{what} has rows of different lengths") from None
+
+
+def load_similarity_parts(text: str):
     """Parse the JSON document shape without judging its semantics.
 
-    Returns (properties, tables, weights, assignments) with CaseTable values;
-    raises ParseError on malformed JSON or wrong shapes.
+    Returns (properties, tables, weights, assignments) with CaseTable values
+    and float weights; raises ParseError on malformed JSON, wrong shapes,
+    ragged tables, or an integer too large for a float.
     """
     try:
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
@@ -299,12 +303,13 @@ def _load_similarity_parts(text: str):
             for r in rows
         ):
             raise ParseError(f'"tables" for {prop!r} must be a numeric matrix')
-        tables[prop] = CaseTable(cases=tuple(case_list), values=np.array(rows, dtype=float))
+        values = _float_array(rows, f'"tables" for {prop!r}')
+        tables[prop] = CaseTable(cases=tuple(case_list), values=values)
 
     return (
         tuple(props),
         tables,
-        tuple(weights),
+        tuple(_float_array(weights, '"weights"').tolist()),
         {str(k): dict(v) for k, v in assignments.items()},
     )
 
@@ -317,7 +322,7 @@ def parse_similarity_json(text: str) -> SimilaritySpec:
     {vertexLabel: {P: case}}}. Malformed JSON or wrong shapes raise
     ParseError; semantically invalid specs raise InvalidSpecError.
     """
-    props, tables, weights, assignments = _load_similarity_parts(text)
+    props, tables, weights, assignments = load_similarity_parts(text)
     return SimilaritySpec(
         properties=props, tables=tables, weights=weights, assignments=assignments
     )

@@ -17,20 +17,18 @@ from rsmc import (
     brute_force_maximal_communities,
     check_scaling,
     combine_similarities,
-    connected_components,
     enumerate_maximal_communities,
     erf_matrix,
-    is_community,
-    laplacian,
-    laplacian_pseudoinverse,
     load_builtin_dataset,
     parse_similarity_json,
     refine,
     run_pipeline,
-    scale_weights,
     sdf_matrix,
     validate_rsm,
 )
+from rsmc.community import is_community
+from rsmc.graph import connected_components, scale_weights
+from rsmc.rsm import laplacian, laplacian_pseudoinverse
 
 from graphgen import barbell, complete_graph, path_graph, random_eeg, random_graph
 from oracles import resistance_matrix_oracle

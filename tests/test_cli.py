@@ -158,11 +158,26 @@ def test_detect_sweep_unbounded_grid(path3, capsys, sweep):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
-def test_detect_source_conflicts(path3, sim_spec, capsys):
-    assert main(["detect", "--input", path3, "--rsm", "sdf",
-                 "--similarity-spec", sim_spec, "--epsilon", "1"]) == 2
-    assert main(["detect", "--input", path3, "--epsilon", "1"]) == 2
-    assert main(["detect", "--epsilon", "1"]) == 2
+@pytest.mark.parametrize("argv", [
+    ["detect", "--input", "{path3}", "--rsm", "sdf", "--similarity-spec", "{spec}",
+     "--epsilon", "1"],
+    ["detect", "--rsm", "sdf", "--matrix", "{matrix}", "--epsilon", "1"],
+    ["detect", "--similarity-spec", "{spec}", "--matrix", "{matrix}", "--epsilon", "1"],
+    ["detect", "--input", "{path3}", "--builtin", "karate", "--rsm", "sdf", "--epsilon", "1"],
+    ["detect", "--input", "{path3}", "--epsilon", "1"],
+    ["detect", "--epsilon", "1"],
+    ["matrix"],
+    ["validate-rsm", "--matrix", "{matrix}", "--input", "{path3}", "--builtin", "karate"],
+], ids=["graph-and-spec", "rsm-and-matrix", "spec-and-matrix", "input-and-builtin",
+        "input-without-rsm", "no-source-detect", "no-source-matrix", "validate-rsm-two-graphs"])
+def test_source_conflict_exits_2(path3, sim_spec, tmp_path, capsys, argv):
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("0,1,2\n1,0,1\n2,1,0\n")
+    argv = [a.format(path3=path3, spec=sim_spec, matrix=matrix) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
 
 
 def test_detect_similarity_source(sim_spec, capsys):
@@ -230,6 +245,15 @@ def test_validate_rsm_bad_entry_exits_2(tmp_path, capsys, name, text):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_validate_rsm_bad_tol_exits_2(tmp_path, capsys, tol):
+    mfile = tmp_path / "m.csv"
+    mfile.write_text("0,1\n1,0\n")
+    assert main(["validate-rsm", "--matrix", str(mfile), "--tol", tol]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_validate_rsm_dimension_mismatch(path3, tmp_path, capsys):
     bad = tmp_path / "two.csv"
     bad.write_text("0,1\n1,0\n")
@@ -253,6 +277,29 @@ def test_validate_similarity(sim_spec, tmp_path, capsys):
 
     bad.write_text("{")
     assert main(["validate-similarity", "--spec", str(bad)]) == 2
+
+
+HUGE_INT = int("1" + "0" * 400)
+
+
+@pytest.mark.parametrize("command", ["detect", "validate-similarity"])
+@pytest.mark.parametrize("where", ["weights", "table"])
+def test_similarity_integer_too_large_exits_2(sim_spec, tmp_path, capsys, command, where):
+    doc = json.loads(open(sim_spec).read())
+    if where == "weights":
+        doc["weights"][1] = HUGE_INT
+    else:
+        doc["tables"]["P2"] = [[0, HUGE_INT], [HUGE_INT, 0]]
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps(doc))
+    if command == "detect":
+        argv = ["detect", "--similarity-spec", str(spec), "--epsilon", "1"]
+    else:
+        argv = ["validate-similarity", "--spec", str(spec)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "too large for a float" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_datasets(capsys):

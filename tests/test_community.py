@@ -20,10 +20,10 @@ from rsmc import (
     communities_to_dot,
     communities_to_json,
     enumerate_maximal_communities,
-    is_community,
     refine,
     sdf_matrix,
 )
+from rsmc.community import is_community
 
 from graphgen import path_graph, random_eeg
 

@@ -14,11 +14,10 @@ from rsmc import (
     LabelError,
     ParseError,
     WeightError,
-    connected_components,
     parse_edge_list,
-    scale_weights,
     serialize_edge_list,
 )
+from rsmc.graph import connected_components, scale_weights
 
 from graphgen import random_graph
 
@@ -27,7 +26,7 @@ def test_parse_basic_two_edges():
     g = parse_edge_list("a\tb\t2.5\nb\tc", directed=False)
     assert g.vertex_count == 3
     assert g.edges == ((0, 1, 2.5), (1, 2, 1.0))
-    assert g.effective_labels() == ("a", "b", "c")
+    assert g.labels == ("a", "b", "c")
     assert not g.directed
 
 
@@ -83,7 +82,7 @@ def test_parse_empty_input():
 def test_parse_isolated_vertex_declaration():
     g = parse_edge_list("a\nb\tc\n", directed=False)
     assert g.vertex_count == 3
-    assert g.effective_labels() == ("a", "b", "c")
+    assert g.labels == ("a", "b", "c")
     assert len(g.edges) == 1
 
 
@@ -92,7 +91,7 @@ def test_parse_any_whitespace_run_separates_fields():
     assert g.vertex_count == 3
     assert len(g.edges) == 2
     mixed = parse_edge_list("a \t b\t  2.5\nb   c\n  d\t\n", directed=False)
-    assert mixed.effective_labels() == ("a", "b", "c", "d")
+    assert mixed.labels == ("a", "b", "c", "d")
     assert mixed.edges == ((0, 1, 2.5), (1, 2, 1.0))
     with pytest.raises(ParseError) as exc:
         parse_edge_list("a b\na b c d\n", directed=False)
@@ -160,7 +159,7 @@ def test_round_trip_keeps_isolated_vertices_and_labels():
     g = parse_edge_list("lonely\nx\ty\t0.25\n", directed=False)
     back = parse_edge_list(serialize_edge_list(g), directed=False)
     assert back == g
-    assert back.effective_labels() == ("lonely", "x", "y")
+    assert back.labels == ("lonely", "x", "y")
 
 
 @pytest.mark.parametrize("labels, bad", [

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsmc import (
-    AllZeroProfileError,
     DimensionMismatchError,
     DirectedInputError,
     Graph,
@@ -18,22 +17,18 @@ from rsmc import (
     ParseError,
     RsmMatrix,
     SingularityError,
-    SpeedProfile,
     check_scaling,
-    connected_components,
     erf_matrix,
-    laplacian,
-    laplacian_pseudoinverse,
     load_builtin_dataset,
     rsm_from_csv,
     rsm_from_json,
     rsm_to_csv,
     rsm_to_json,
-    scale_weights,
     sdf_matrix,
-    speed_profile_stats,
     validate_rsm,
 )
+from rsmc.graph import connected_components, scale_weights
+from rsmc.rsm import _separations_by_cut_vertex, laplacian, laplacian_pseudoinverse
 
 from graphgen import (
     barbell,
@@ -44,7 +39,6 @@ from graphgen import (
     random_graph,
     random_tree,
 )
-from rsmc.rsm import _separations_by_cut_vertex
 
 from oracles import (
     brute_force_separations,
@@ -308,6 +302,9 @@ def test_validation_flags_triangle_violation():
     report = validate_rsm(RsmMatrix(vals, "external"))
     assert not report.triangle
     assert any(v.kind == "triangle" for v in report.violations)
+    # +inf is left to the disconnection pattern, never reported as a triangle break
+    vals[0, 2] = vals[2, 0] = np.inf
+    assert validate_rsm(RsmMatrix(vals, "external")).triangle
 
 
 def test_validation_flags_asymmetry_on_undirected():
@@ -601,44 +598,6 @@ def test_matrix_writers_match_entrywise_reference(case):
     assert rsm_to_json(m) == json_dumps_rsm(m)
     assert rsm_to_csv(m) == csv_join_rsm(m)
     assert rsm_from_json(rsm_to_json(m)).source_rsm == m.source_rsm
-
-
-# ---------------------------------------------------------------------------
-# Speed profiles
-# ---------------------------------------------------------------------------
-
-def test_speed_profile_stats_examples():
-    p = SpeedProfile(((0, 0), (3, 0.5), (5, 2.0)))
-    stats = speed_profile_stats(p, 1.5)
-    assert stats.stt == 3
-    assert stats.cm == 5
-
-    with pytest.raises(AllZeroProfileError):
-        speed_profile_stats(SpeedProfile(((0, 0), (1, 0))), 1.0)
-
-    stats = speed_profile_stats(SpeedProfile(((0, 0), (2, 0.9))), 1.0)
-    assert stats.stt == 2
-    assert stats.cm is None
-
-
-def test_speed_profile_validation():
-    with pytest.raises(ValueError):
-        SpeedProfile(((1, 0.5), (1, 0.7)))
-    with pytest.raises(ValueError):
-        SpeedProfile(((2, 0.5), (1, 0.7)))
-    with pytest.raises(ValueError):
-        SpeedProfile(((-1, 0.5),))
-    with pytest.raises(ValueError):
-        SpeedProfile(((0, -0.5),))
-    with pytest.raises(AllZeroProfileError):
-        speed_profile_stats(SpeedProfile(()), 1.0)
-    with pytest.raises(ValueError):
-        speed_profile_stats(SpeedProfile(((0, 1.0),)), 0.0)
-
-
-def test_speed_profile_threshold_is_inclusive():
-    stats = speed_profile_stats(SpeedProfile(((0, 0), (4, 1.0))), 1.0)
-    assert stats.cm == 4
 
 
 # ---------------------------------------------------------------------------

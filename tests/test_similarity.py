@@ -11,6 +11,7 @@ from rsmc import (
     CaseTable,
     InvalidSpecError,
     ParseError,
+    RsmMatrix,
     SimilaritySpec,
     SimilarityWarning,
     check_scaling,
@@ -90,6 +91,24 @@ def test_table_triangle_reported():
     assert not report.triangle
     assert not report.all_passed
     assert any(v.kind == "triangle" and v.where == ("a", "b", "c") for v in report.violations)
+
+
+def test_table_and_matrix_report_the_same_triangle_breaks():
+    rng = np.random.RandomState(5)
+    vals = np.triu(rng.uniform(0.1, 3.0, (7, 7)), k=1)
+    vals += vals.T
+    tol = 1e-8
+
+    def breaks(violations):
+        return [(tuple(str(x) for x in v.where), v.magnitude)
+                for v in violations if v.kind == "triangle"]
+
+    from_matrix = breaks(validate_rsm(RsmMatrix(values=vals, source_rsm="external"),
+                                      tol=tol).violations)
+    cases = [str(i) for i in range(len(vals))]
+    from_table = breaks(validate_similarity_table(table(cases, vals), tol=tol).violations)
+    assert len(from_matrix) > 2
+    assert from_table == from_matrix
 
 
 def test_table_structure_errors():
@@ -289,6 +308,10 @@ def test_json_bad_value_types():
     doc = spec_doc()
     doc["tables"]["P2"] = [[0, "x"], ["x", 0]]
     with pytest.raises(ParseError):
+        spec_from(doc)
+    doc = spec_doc()
+    doc["tables"]["P2"] = [[0, 0.5], [0.5]]
+    with pytest.raises(ParseError, match="rows of different lengths"):
         spec_from(doc)
     doc = spec_doc()
     doc["assignments"]["u"] = "g1"
