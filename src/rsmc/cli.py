@@ -76,11 +76,11 @@ class PipelineConfig:
                 )
         elif self.rsm == "similarity":
             if self.similarity_spec_path is None or self.input_path or self.builtin \
-                    or self.matrix_path:
+                    or self.matrix_path or self.directed:
                 raise InvalidSpecError('rsm "similarity" needs a spec file and nothing else')
         elif self.rsm == "external":
             if self.matrix_path is None or self.input_path or self.builtin \
-                    or self.similarity_spec_path:
+                    or self.similarity_spec_path or self.directed:
                 raise InvalidSpecError('rsm "external" needs a matrix file and nothing else')
         else:
             raise InvalidSpecError(f"unknown rsm kind {self.rsm!r}")
@@ -277,6 +277,8 @@ def cmd_validate_rsm(args: argparse.Namespace) -> int:
     g = None
     if args.input is not None or args.builtin is not None:
         g = _load_graph(args.input, args.builtin, args.directed)
+    elif args.directed:
+        raise InvalidSpecError("--directed needs a graph: give --input or --builtin")
     report = validate_rsm(m, g, tol=args.tol)
     for line in report.summary_lines():
         print(line)
@@ -360,15 +362,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NumericalError as exc:
+    except (RsmcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except RsmcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NumericalError) else 2
 
 
 if __name__ == "__main__":

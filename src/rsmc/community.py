@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -29,16 +29,17 @@ from .rsm import RsmMatrix
 REFINE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectiveEdgeGraph:
     """Undirected unweighted graph of vertex pairs surviving refinement.
 
-    Edges are stored as (u, v) pairs with u < v. epsilon and rsm_tag record
-    which thresholding produced the graph.
+    ``edges`` is a read-only (m, 2) intp array of distinct pairs, u < v in
+    each row and rows ascending; it may be given as any iterable of pairs.
+    epsilon and rsm_tag record which thresholding produced the graph.
     """
 
     vertex_count: int
-    edges: frozenset[tuple[int, int]]
+    edges: np.ndarray
     epsilon: float
     rsm_tag: str
 
@@ -46,16 +47,19 @@ class EffectiveEdgeGraph:
         n = self.vertex_count
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"vertex_count must be a positive integer, got {n!r}")
-        canon = set()
-        for pair in self.edges:
-            u, v = pair
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-pair {pair} is not a valid edge")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge {pair} out of range for {n} vertices")
-            canon.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", frozenset(canon))
+        pairs = self.edges
+        if not isinstance(pairs, np.ndarray):
+            pairs = np.array(list(pairs) or np.empty((0, 2), dtype=np.intp))
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+            raise ValueError(f"edges must be (m, 2) int pairs, not {pairs.shape} {pairs.dtype}")
+        lo, hi = np.sort(pairs.astype(np.intp), axis=1).T
+        bad = (lo < 0) | (hi >= n) | (lo == hi)
+        if bad.any():
+            raise ValueError(f"edge {pairs[bad][0].tolist()} is a self-pair or outside range({n})")
+        keys = np.unique(lo * n + hi)
+        edges = np.column_stack(np.divmod(keys, n))
+        edges.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "epsilon", float(self.epsilon))
         object.__setattr__(self, "rsm_tag", str(self.rsm_tag))
 
@@ -65,7 +69,6 @@ class Community:
     """A vertex set whose members are all pairwise related at the recorded epsilon."""
 
     members: frozenset[int]
-    maximal: bool
     epsilon: float
     rsm_tag: str
 
@@ -96,10 +99,8 @@ def refine(m: RsmMatrix, epsilon: float, tol: float = REFINE_TOL) -> EffectiveEd
     vals = m.values
     # a flat scan is far faster than a 2-D np.nonzero; keep each pair once, i < j
     rows, cols = np.divmod(np.flatnonzero(vals <= thr), m.n)
-    upper = rows < cols
-    rows, cols = rows[upper], cols[upper]
-    both = vals[cols, rows] <= thr
-    edges = frozenset(zip(rows[both].tolist(), cols[both].tolist()))
+    both = (rows < cols) & (vals[cols, rows] <= thr)
+    edges = np.column_stack([rows[both], cols[both]])
     return EffectiveEdgeGraph(
         vertex_count=m.n, edges=edges, epsilon=epsilon, rsm_tag=m.source_rsm
     )
@@ -114,21 +115,17 @@ def is_community(members: Iterable[int], eeg: EffectiveEdgeGraph) -> bool:
     for v in ms:
         if not 0 <= v < eeg.vertex_count:
             raise UnknownVertexError(f"vertex {v} not in graph of size {eeg.vertex_count}")
-    for i, u in enumerate(ms):
-        for v in ms[i + 1:]:
-            if (u, v) not in eeg.edges:
-                return False
-    return True
+    pairs = set(map(tuple, eeg.edges.tolist()))
+    return all(pair in pairs for pair in combinations(ms, 2))
 
 
 def _adjacency_bits(eeg: EffectiveEdgeGraph) -> list[int]:
     """Neighbourhood of each vertex as an int bitset (bit v set iff v is adjacent)."""
     n = eeg.vertex_count
-    ends = np.fromiter(chain.from_iterable(eeg.edges), dtype=np.intp,
-                       count=2 * len(eeg.edges)).reshape(-1, 2)
+    u, v = eeg.edges.T
     dense = np.zeros((n, n), dtype=bool)
-    dense[ends[:, 0], ends[:, 1]] = True
-    dense[ends[:, 1], ends[:, 0]] = True
+    dense[u, v] = True
+    dense[v, u] = True
     packed = np.packbits(dense, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
@@ -173,11 +170,11 @@ def _maximal_cliques(adj: list[int]) -> list[int]:
     return out
 
 
-def _canonical(cliques: Iterable[Iterable[int]], eeg: EffectiveEdgeGraph) -> list[Community]:
-    ordered = sorted(tuple(sorted(c)) for c in cliques)
+def _canonical(cliques: Iterable[tuple[int, ...]], eeg: EffectiveEdgeGraph) -> list[Community]:
+    """Communities from cliques given as ascending member tuples, in lexicographic order."""
     return [
-        Community(members=frozenset(c), maximal=True, epsilon=eeg.epsilon, rsm_tag=eeg.rsm_tag)
-        for c in ordered
+        Community(members=frozenset(c), epsilon=eeg.epsilon, rsm_tag=eeg.rsm_tag)
+        for c in sorted(cliques)
     ]
 
 
@@ -208,7 +205,7 @@ def brute_force_maximal_communities(eeg: EffectiveEdgeGraph) -> list[Community]:
     if n > 20:
         raise TooLargeError(f"exhaustive search over {n} vertices (limit 20)")
     adj_bits = [0] * n
-    for u, v in eeg.edges:
+    for u, v in eeg.edges.tolist():
         adj_bits[u] |= 1 << v
         adj_bits[v] |= 1 << u
     complete = np.zeros(1 << n, dtype=bool)
@@ -225,7 +222,7 @@ def brute_force_maximal_communities(eeg: EffectiveEdgeGraph) -> list[Community]:
             not (s >> v) & 1 and (s & ~adj_bits[v]) == 0 for v in range(n)
         )
         if not extendable:
-            found.append(frozenset(v for v in range(n) if (s >> v) & 1))
+            found.append(tuple(_bits(s)))
     return _canonical(found, eeg)
 
 
@@ -241,17 +238,23 @@ def _label_table(n: int, labels: Sequence[str] | None) -> list[str]:
     return [str(s) for s in labels[:n]]
 
 
+def _member_labels(communities: Sequence[Community],
+                   labels: Sequence[str] | None) -> list[list[str]]:
+    """Member labels of each community, members ascending."""
+    if not communities:
+        raise ValueError("no communities to serialize")
+    table = _label_table(max(max(c.members) for c in communities) + 1, labels)
+    return [[table[v] for v in sorted(c.members)] for c in communities]
+
+
 def communities_to_json(communities: Sequence[Community],
                         labels: Sequence[str] | None = None) -> str:
     """JSON document {"epsilon":, "rsm":, "communities": [[labels...], ...]}."""
-    if not communities:
-        raise ValueError("no communities to serialize")
-    n = max(max(c.members) for c in communities) + 1
-    table = _label_table(n, labels)
+    rows = _member_labels(communities, labels)
     doc = {
         "epsilon": communities[0].epsilon,
         "rsm": communities[0].rsm_tag,
-        "communities": [[table[v] for v in sorted(c.members)] for c in communities],
+        "communities": rows,
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -259,12 +262,7 @@ def communities_to_json(communities: Sequence[Community],
 def communities_to_csv(communities: Sequence[Community],
                        labels: Sequence[str] | None = None) -> str:
     """One line per community: comma-separated member labels, ascending."""
-    if not communities:
-        raise ValueError("no communities to serialize")
-    n = max(max(c.members) for c in communities) + 1
-    table = _label_table(n, labels)
-    lines = [",".join(table[v] for v in sorted(c.members)) for c in communities]
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(row) + "\n" for row in _member_labels(communities, labels))
 
 
 _PALETTE = (
@@ -300,7 +298,7 @@ def communities_to_dot(eeg: EffectiveEdgeGraph, communities: Sequence[Community]
         else:
             attrs = f'fillcolor="{":".join(colors)}" style=wedged'
         lines.append(f"  {quoted(table[v])} [{attrs}];")
-    for u, v in sorted(eeg.edges):
+    for u, v in eeg.edges.tolist():
         lines.append(f"  {quoted(table[u])} -- {quoted(table[v])};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -40,7 +40,10 @@ class CaseTable:
             raise InvalidSpecError("a case table needs at least one case")
         if len(set(cases)) != len(cases):
             raise InvalidSpecError(f"duplicate case names in {cases}")
-        arr = np.array(self.values, dtype=float)
+        try:
+            arr = np.array(self.values, dtype=float)
+        except OverflowError:
+            raise InvalidSpecError("table holds an integer too large for a float") from None
         if arr.shape != (len(cases), len(cases)):
             raise InvalidSpecError(
                 f"table shape {arr.shape} does not match {len(cases)} case(s)"
@@ -162,8 +165,8 @@ class SimilaritySpec:
 
         try:
             weights = tuple(float(w) for w in self.weights)
-        except (TypeError, ValueError):
-            raise InvalidSpecError(f"weights must be numbers, got {self.weights!r}") from None
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidSpecError("weights must be numbers that fit a float") from None
         if len(weights) != len(props):
             raise InvalidSpecError(
                 f"{len(weights)} weight(s) for {len(props)} property(ies)"

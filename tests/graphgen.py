@@ -107,3 +107,8 @@ def random_eeg(rng: np.random.RandomState, n_max: int = 15) -> EffectiveEdgeGrap
     return EffectiveEdgeGraph(
         vertex_count=n, edges=frozenset(edges), epsilon=1.0, rsm_tag="external"
     )
+
+
+def edge_set(eeg: EffectiveEdgeGraph) -> set[tuple[int, int]]:
+    """The edges of an effective edge graph as a set of (u, v) tuples."""
+    return set(map(tuple, eeg.edges.tolist()))

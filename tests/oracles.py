@@ -3,9 +3,10 @@
 Everything here recomputes production quantities by a different algorithm:
 Floyd-Warshall instead of per-source Dijkstra, an eigendecomposition
 pseudoinverse instead of the shifted-inverse identity, plain double loops
-instead of vectorized table lookups, an edge loop instead of scattered
-Laplacian entries, vertex-by-vertex removal instead of low-links, and
-``json.dumps`` instead of string building. Deliberately slow and simple.
+instead of vectorized table lookups and thresholding, an edge loop instead
+of scattered Laplacian entries, vertex-by-vertex removal instead of
+low-links, and ``json.dumps`` instead of string building. Deliberately slow
+and simple.
 """
 
 from __future__ import annotations
@@ -131,6 +132,14 @@ def combine_similarity_oracle(doc: dict) -> tuple[list[str], np.ndarray]:
                 total += doc["weights"][p_idx] * doc["tables"][prop][cu][cv]
             out[i, j] = total
     return labels, out
+
+
+def loop_refine_pairs(vals, epsilon: float, tol: float) -> list[list[int]]:
+    """Pairs [i, j], i < j, with both directions <= epsilon + tol, by a double loop."""
+    thr = epsilon + tol
+    n = len(vals)
+    return [[i, j] for i in range(n) for j in range(i + 1, n)
+            if vals[i][j] <= thr and vals[j][i] <= thr]
 
 
 def brute_force_separations(g) -> list[tuple[int, list[list[int]]]]:

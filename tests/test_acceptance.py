@@ -187,7 +187,7 @@ def test_criterion_4_scaling(report, small_corpus):
                 lhs = refine(m, eps, tol=0.0).edges
                 rhs = refine(RsmMatrix(alpha * m.values, m.source_rsm),
                              alpha * eps, tol=0.0).edges
-                if lhs != rhs:
+                if not np.array_equal(lhs, rhs):
                     failures.append(
                         f"graph {idx} {build.__name__}: refine edges differ at alpha {alpha}"
                     )

@@ -168,8 +168,14 @@ def test_detect_sweep_unbounded_grid(path3, capsys, sweep):
     ["detect", "--epsilon", "1"],
     ["matrix"],
     ["validate-rsm", "--matrix", "{matrix}", "--input", "{path3}", "--builtin", "karate"],
+    ["detect", "--matrix", "{matrix}", "--directed", "--epsilon", "1"],
+    ["detect", "--similarity-spec", "{spec}", "--directed", "--epsilon", "1"],
+    ["matrix", "--similarity-spec", "{spec}", "--directed"],
+    ["validate-rsm", "--matrix", "{matrix}", "--directed"],
 ], ids=["graph-and-spec", "rsm-and-matrix", "spec-and-matrix", "input-and-builtin",
-        "input-without-rsm", "no-source-detect", "no-source-matrix", "validate-rsm-two-graphs"])
+        "input-without-rsm", "no-source-detect", "no-source-matrix", "validate-rsm-two-graphs",
+        "directed-matrix", "directed-spec", "directed-matrix-command",
+        "validate-rsm-directed-without-graph"])
 def test_source_conflict_exits_2(path3, sim_spec, tmp_path, capsys, argv):
     matrix = tmp_path / "m.csv"
     matrix.write_text("0,1,2\n1,0,1\n2,1,0\n")

@@ -25,7 +25,8 @@ from rsmc import (
 )
 from rsmc.community import is_community
 
-from graphgen import path_graph, random_eeg
+from graphgen import edge_set, path_graph, random_eeg
+from oracles import loop_refine_pairs
 
 
 def eeg_from(n, pairs, epsilon=1.0, tag="external"):
@@ -44,18 +45,18 @@ def members(communities):
 
 def test_refine_requires_both_directions():
     m = RsmMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]), "external")
-    assert refine(m, 1.5).edges == frozenset()
-    assert refine(m, 2.0).edges == frozenset({(0, 1)})
+    assert edge_set(refine(m, 1.5)) == set()
+    assert edge_set(refine(m, 2.0)) == {(0, 1)}
 
 
 def test_refine_epsilon_zero_tol_zero():
     m = sdf_matrix(path_graph(4))
-    assert refine(m, 0.0, tol=0.0).edges == frozenset()
+    assert edge_set(refine(m, 0.0, tol=0.0)) == set()
 
 
 def test_refine_path_sdf():
     eeg = refine(sdf_matrix(path_graph(3)), 1.0)
-    assert eeg.edges == frozenset({(0, 1), (1, 2)})
+    assert edge_set(eeg) == {(0, 1), (1, 2)}
     assert eeg.rsm_tag == "sdf"
     assert eeg.epsilon == 1.0
 
@@ -63,13 +64,13 @@ def test_refine_path_sdf():
 def test_refine_infinity_never_passes():
     vals = np.array([[0.0, np.inf], [np.inf, 0.0]])
     eeg = refine(RsmMatrix(vals, "external"), 1e300)
-    assert eeg.edges == frozenset()
+    assert edge_set(eeg) == set()
 
 
 def test_refine_tolerance_is_additive():
     m = RsmMatrix(np.array([[0.0, 1.0 + 5e-10], [1.0 + 5e-10, 0.0]]), "external")
-    assert refine(m, 1.0, tol=1e-9).edges == frozenset({(0, 1)})
-    assert refine(m, 1.0, tol=0.0).edges == frozenset()
+    assert edge_set(refine(m, 1.0, tol=1e-9)) == {(0, 1)}
+    assert edge_set(refine(m, 1.0, tol=0.0)) == set()
 
 
 def test_refine_rejects_bad_epsilon():
@@ -105,7 +106,7 @@ def test_refine_epsilon_monotone(seed, eps_a, eps_b):
     np.fill_diagonal(sym, 0.0)
     m = RsmMatrix(sym, "external")
     lo, hi = min(eps_a, eps_b), max(eps_a, eps_b)
-    assert refine(m, lo).edges <= refine(m, hi).edges
+    assert edge_set(refine(m, lo)) <= edge_set(refine(m, hi))
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,7 +123,28 @@ def test_refine_monotone_under_masking(seed):
     eps = float(rng.uniform(0.5, 3.0))
     full = refine(RsmMatrix(base, "external"), eps)
     sub = refine(RsmMatrix(masked, "external"), eps)
-    assert sub.edges <= full.edges
+    assert edge_set(sub) <= edge_set(full)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_refine_matches_loop_oracle(data):
+    epsilon = data.draw(st.floats(0, 10))
+    tol = data.draw(st.sampled_from([0.0, 1e-9, 0.5]))
+    thr = epsilon + tol
+    # entries exactly at the threshold and one ulp to either side, +inf, and anything else
+    entry = st.one_of(
+        st.sampled_from([thr, np.nextafter(thr, -np.inf), np.nextafter(thr, np.inf), np.inf]),
+        st.floats(0, 2 * thr + 1),
+    )
+    n = data.draw(st.integers(1, 7))
+    vals = np.array(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                       min_size=n, max_size=n)))
+    edges = refine(RsmMatrix(vals, "external"), epsilon, tol).edges
+    want = loop_refine_pairs(vals, epsilon, tol)
+    assert edges.tolist() == want
+    assert edges.dtype == np.intp and edges.shape == (len(want), 2)
+    assert not edges.flags.writeable
 
 
 @pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0])
@@ -136,7 +158,7 @@ def test_refine_scaling_invariance(alpha):
         m = RsmMatrix(sym, "external")
         scaled = RsmMatrix(alpha * sym, "external")
         eps = float(rng.uniform(0.2, 3.0))
-        assert refine(m, eps, tol=0.0).edges == refine(scaled, alpha * eps, tol=0.0).edges
+        assert edge_set(refine(m, eps, tol=0.0)) == edge_set(refine(scaled, alpha * eps, tol=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +198,6 @@ def test_enumerate_complete_graph():
 def test_enumerate_path():
     found = enumerate_maximal_communities(eeg_from(3, {(0, 1), (1, 2)}))
     assert members(found) == [(0, 1), (1, 2)]
-    assert all(c.maximal for c in found)
     assert all(c.epsilon == 1.0 and c.rsm_tag == "external" for c in found)
 
 
@@ -275,14 +296,28 @@ def test_eeg_validation():
         eeg_from(2, {(0, 0)})
     with pytest.raises(ValueError):
         eeg_from(2, {(0, 5)})
-    assert eeg_from(3, {(2, 1)}).edges == frozenset({(1, 2)})
+    assert edge_set(eeg_from(3, {(2, 1)})) == {(1, 2)}
     with pytest.raises(ValueError):
         EffectiveEdgeGraph(vertex_count=0, edges=frozenset(), epsilon=1.0, rsm_tag="x")
+    # not m pairs: a (2, 3) or (3,) array is refused, never reshaped into pairs
+    for bad in (np.array([[0, 1, 2], [1, 2, 0]]), np.array([0, 1, 2])):
+        with pytest.raises(ValueError):
+            EffectiveEdgeGraph(vertex_count=3, edges=bad, epsilon=1.0, rsm_tag="x")
+    with pytest.raises(ValueError):
+        eeg_from(3, {(-1, 1)})
+    assert eeg_from(3, {(2, 1), (1, 2)}).edges.tolist() == [[1, 2]]
+    given_pairs = {(2, 0), (0, 1), (2, 1)}
+    from_array = EffectiveEdgeGraph(vertex_count=3, edges=np.array(sorted(given_pairs)),
+                                    epsilon=1.0, rsm_tag="x")
+    assert np.array_equal(eeg_from(3, given_pairs).edges, from_array.edges)
+    assert from_array.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+    with pytest.raises(ValueError):
+        from_array.edges[0, 0] = 2
 
 
 def test_community_requires_members():
     with pytest.raises(ValueError):
-        Community(members=frozenset(), maximal=True, epsilon=1.0, rsm_tag="x")
+        Community(members=frozenset(), epsilon=1.0, rsm_tag="x")
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,11 @@ def test_table_structure_errors():
         CaseTable(cases=("a", "b"), values=np.array([[0.0, np.inf], [np.inf, 0.0]]))
 
 
+def test_table_integer_too_large_for_a_float():
+    with pytest.raises(InvalidSpecError, match="too large for a float"):
+        CaseTable(cases=("a", "b"), values=[[0, 10**400], [10**400, 0]])
+
+
 # ---------------------------------------------------------------------------
 # Combination
 # ---------------------------------------------------------------------------
@@ -223,6 +228,13 @@ def test_spec_rejects_bad_weights():
         spec_from(spec_doc(weights=(-1.0, 3.0)))
     with pytest.raises(InvalidSpecError):
         spec_from(spec_doc(weights=(0.0, 0.0)))
+
+
+def test_spec_weight_too_large_for_a_float():
+    spec = spec_from(spec_doc())
+    with pytest.raises(InvalidSpecError, match="fit a float"):
+        SimilaritySpec(properties=spec.properties, tables=spec.tables,
+                       weights=(10**400, 3.0), assignments=spec.assignments)
 
 
 def test_spec_allows_one_zero_weight():
