@@ -118,6 +118,8 @@ def _load_matrix_file(path: str) -> RsmMatrix:
 
 def _load_graph(input_path: str | None, builtin: str | None, directed: bool) -> Graph:
     if builtin is not None:
+        if directed:
+            raise InvalidSpecError("builtin datasets are undirected; --directed needs --input")
         return load_builtin_dataset(builtin)
     return parse_edge_list(_read(input_path), directed=directed)
 

@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass, field
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components as csgraph_components
 
 from .errors import DuplicateEdgeError, LabelError, ParseError, WeightError
 
@@ -91,13 +94,16 @@ class ComponentPartition:
         return groups
 
 
-def undirected_adjacency(g: Graph) -> list[set[int]]:
-    """Neighbor sets of the underlying undirected graph."""
-    adj: list[set[int]] = [set() for _ in range(g.vertex_count)]
-    for src, dst, _ in g.edges:
-        adj[src].add(dst)
-        adj[dst].add(src)
-    return adj
+def edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Source indices, destination indices and weights of the edges, in edge order."""
+    edges = np.array(g.edges, dtype=float).reshape(-1, 3)
+    return edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp), edges[:, 2]
+
+
+def edge_csr(g: Graph) -> csr_matrix:
+    """The weighted adjacency matrix, one stored entry per edge as (src, dst)."""
+    src, dst, w = edge_arrays(g)
+    return csr_matrix((w, (src, dst)), shape=(g.vertex_count, g.vertex_count))
 
 
 def connected_components(g: Graph) -> ComponentPartition:
@@ -107,22 +113,8 @@ def connected_components(g: Graph) -> ComponentPartition:
     so the result is deterministic and invariant under edge-direction
     reversal.
     """
-    adj = undirected_adjacency(g)
-    assignment = [-1] * g.vertex_count
-    count = 0
-    for start in range(g.vertex_count):
-        if assignment[start] != -1:
-            continue
-        queue = deque([start])
-        assignment[start] = count
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if assignment[w] == -1:
-                    assignment[w] = count
-                    queue.append(w)
-        count += 1
-    return ComponentPartition(assignment=tuple(assignment), component_count=count)
+    count, labels = csgraph_components(edge_csr(g), directed=False)
+    return ComponentPartition(assignment=tuple(labels.tolist()), component_count=count)
 
 
 def parse_edge_list(text: str, directed: bool = False) -> Graph:

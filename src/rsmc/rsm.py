@@ -32,7 +32,7 @@ from .errors import (
     SingularityError,
     ThresholdError,
 )
-from .graph import Graph, connected_components, undirected_adjacency
+from .graph import Graph, connected_components, edge_arrays, edge_csr
 
 log = logging.getLogger(__name__)
 
@@ -41,10 +41,12 @@ ERF_TAG = "erf"
 SIMILARITY_TAG = "similarity"
 EXTERNAL_TAG = "external"
 
-#: Default tolerance for linear-algebra residuals.
+#: Tolerance for the pseudoinverse residuals.
 RESIDUAL_TOL = 1e-9
 #: Default tolerance for axiom checks.
 AXIOM_TOL = 1e-8
+#: How many violations a validation summary lists before counting the rest.
+MAX_SHOWN_VIOLATIONS = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,9 +65,10 @@ class RsmMatrix:
         arr = np.array(self.values, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise DimensionMismatchError(f"expected a nonempty square matrix, got shape {arr.shape}")
-        if np.isnan(arr).any():
+        lo = arr.min()  # NaN if any entry is NaN
+        if np.isnan(lo):
             raise MatrixValueError("matrix entries must not be NaN")
-        if np.isneginf(arr).any():
+        if lo == -math.inf:
             raise MatrixValueError("matrix entries must not be -inf")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -76,11 +79,6 @@ class RsmMatrix:
         return self.values.shape[0]
 
 
-def _edge_csr(g: Graph) -> csr_matrix:
-    src, dst, w = _edge_arrays(g)
-    return csr_matrix((w, (src, dst)), shape=(g.vertex_count, g.vertex_count))
-
-
 def sdf_matrix(g: Graph) -> RsmMatrix:
     """All-pairs shortest-path distance matrix.
 
@@ -89,16 +87,8 @@ def sdf_matrix(g: Graph) -> RsmMatrix:
     from i, and 0 on the diagonal. Weights are nonnegative by the Graph
     invariants, so per-source Dijkstra applies.
     """
-    dist = dijkstra(_edge_csr(g), directed=g.directed, return_predecessors=False)
+    dist = dijkstra(edge_csr(g), directed=g.directed, return_predecessors=False)
     return RsmMatrix(values=dist, source_rsm=SDF_TAG)
-
-
-def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Source indices, destination indices and weights of the edges, in edge order."""
-    if not g.edges:
-        return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)
-    src, dst, w = np.array(g.edges).T
-    return src.astype(np.intp), dst.astype(np.intp), w
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -110,7 +100,7 @@ def laplacian(g: Graph) -> np.ndarray:
     if g.directed:
         raise DirectedInputError("Laplacian is defined for undirected graphs only")
     n = g.vertex_count
-    src, dst, w = _edge_arrays(g)
+    src, dst, w = edge_arrays(g)
     lap = np.zeros((n, n))
     lap[src, dst] = lap[dst, src] = -w
     # edges are sorted with src < dst, so listing each vertex's edges as dst
@@ -121,7 +111,7 @@ def laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
-def laplacian_pseudoinverse(component: Graph, residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
+def laplacian_pseudoinverse(component: Graph) -> np.ndarray:
     """Generalized inverse of the Laplacian of a connected undirected graph.
 
     Uses the identity pinv(L) = inv(L + J/n) - J/n where J is the all-ones
@@ -130,7 +120,7 @@ def laplacian_pseudoinverse(component: Graph, residual_tol: float = RESIDUAL_TOL
     result does not depend on the unit the weights are given in. The
     shifted matrix is inverted through its Cholesky factor; the result is
     exactly symmetric. The normalised L and its pseudoinverse P must satisfy
-    both L @ P @ L == L and L @ P == I - J/n within ``residual_tol``
+    both L @ P @ L == L and L @ P == I - J/n within ``RESIDUAL_TOL``
     (max-norm), or NumericalError is raised. A disconnected input, or a
     shifted matrix the Cholesky factorisation finds not positive definite,
     raises SingularityError.
@@ -140,7 +130,7 @@ def laplacian_pseudoinverse(component: Graph, residual_tol: float = RESIDUAL_TOL
     started = time.perf_counter()
     n = component.vertex_count
     a = laplacian(component)
-    src, dst, w = _edge_arrays(component)
+    src, dst, w = edge_arrays(component)
     scale = math.ldexp(1.0, math.frexp(w.max())[1] - 1) if w.size else 1.0
     a /= scale
     diag = np.arange(n)
@@ -177,33 +167,15 @@ def laplacian_pseudoinverse(component: Graph, residual_tol: float = RESIDUAL_TOL
         time.perf_counter() - started,
     )
     for what, residual in (("", lpl_residual), (" of L P against I - J/n", lp_residual)):
-        if not residual <= residual_tol:
+        if not residual <= RESIDUAL_TOL:
             raise NumericalError(
-                f"pseudoinverse residual{what} {residual:.3e} exceeds tolerance {residual_tol:.3e}"
+                f"pseudoinverse residual{what} {residual:.3e} exceeds tolerance {RESIDUAL_TOL:.3e}"
             )
     pinv /= scale
     return pinv
 
 
-def _subgraph(vertices: list[int], edges: list[tuple[int, int, float]]) -> Graph:
-    pos = {v: i for i, v in enumerate(vertices)}
-    return Graph(
-        vertex_count=len(vertices),
-        edges=tuple((pos[s], pos[d], w) for s, d, w in edges),
-        directed=False,
-    )
-
-
-def _resistance_block(sub: Graph, residual_tol: float) -> np.ndarray:
-    pinv = laplacian_pseudoinverse(sub, residual_tol=residual_tol)
-    diag = np.diag(pinv)
-    block = diag[:, None] + diag[None, :]
-    pinv *= 2.0
-    block -= pinv
-    return block
-
-
-def erf_matrix(g: Graph, residual_tol: float = RESIDUAL_TOL) -> RsmMatrix:
+def erf_matrix(g: Graph) -> RsmMatrix:
     """Effective-resistance distance matrix of an undirected graph.
 
     Each edge acts as a resistor whose resistance is the edge weight, so the
@@ -217,25 +189,32 @@ def erf_matrix(g: Graph, residual_tol: float = RESIDUAL_TOL) -> RsmMatrix:
     if g.directed:
         raise DirectedInputError("effective resistance is defined for undirected graphs only")
     n = g.vertex_count
-    partition = connected_components(g)
-    comps = partition.components()
-    comp_edges: list[list[tuple[int, int, float]]] = [[] for _ in range(len(comps))]
-    for s, d, w in g.edges:
+    src, dst, w = edge_arrays(g)
+    with np.errstate(divide="ignore", over="ignore"):
         conductance = 1.0 / w
-        if not math.isfinite(conductance):
-            raise NumericalError(f"edge ({s}, {d}) weight {w} is too small to invert")
-        comp_edges[partition.assignment[s]].append((s, d, conductance))
+    too_small = np.flatnonzero(~np.isfinite(conductance))
+    if too_small.size:
+        s, d, weight = g.edges[too_small[0]]
+        raise NumericalError(f"edge ({s}, {d}) weight {weight} is too small to invert")
 
-    blocks = [_resistance_block(_subgraph(comp, edges), residual_tol)
-              for comp, edges in zip(comps, comp_edges)]
-    if len(blocks) == 1:
-        values = blocks[0]  # one component holds every vertex, in order
-    else:
-        values = np.full((n, n), np.inf)
-        for comp, block in zip(comps, blocks):
-            idx = np.asarray(comp)
-            values[np.ix_(idx, idx)] = block
-    np.fill_diagonal(values, 0.0)
+    partition = connected_components(g)
+    edge_comp = np.asarray(partition.assignment)[src]
+    # edge indices grouped by component, in edge order within each group
+    comp_edges = np.split(np.argsort(edge_comp, kind="stable"), np.cumsum(
+        np.bincount(edge_comp, minlength=partition.component_count))[:-1])
+    values = np.full((n, n), np.inf) if partition.component_count > 1 else None
+    for comp, edges in zip(partition.components(), comp_edges):
+        local = zip(np.searchsorted(comp, src[edges]).tolist(),
+                    np.searchsorted(comp, dst[edges]).tolist(), conductance[edges].tolist())
+        pinv = laplacian_pseudoinverse(Graph(len(comp), tuple(local), directed=False))
+        diag = np.diag(pinv)
+        block = diag[:, None] + diag[None, :]
+        pinv *= 2.0
+        block -= pinv  # exactly 0 on the diagonal, as P[i, i] + P[i, i] == 2 P[i, i]
+        if values is None:
+            values = block  # one component holds every vertex, in order
+        else:
+            values[np.ix_(comp, comp)] = block
     return RsmMatrix(values=values, source_rsm=ERF_TAG)
 
 
@@ -275,7 +254,7 @@ class RsmValidationReport:
                  self.triangle, self.symmetry)
         return all(f is not False for f in flags)
 
-    def summary_lines(self, max_violations: int = 10) -> list[str]:
+    def summary_lines(self) -> list[str]:
         def show(flag: bool | None) -> str:
             if flag is None:
                 return "skipped"
@@ -290,10 +269,10 @@ class RsmValidationReport:
         ]
         if self.violations:
             lines.append(f"{len(self.violations)} violation(s), tol={self.tol:g}:")
-            for v in self.violations[:max_violations]:
+            for v in self.violations[:MAX_SHOWN_VIOLATIONS]:
                 lines.append(f"  {v.kind} at {v.where}: {v.magnitude:g}")
-            if len(self.violations) > max_violations:
-                lines.append(f"  ... {len(self.violations) - max_violations} more")
+            if len(self.violations) > MAX_SHOWN_VIOLATIONS:
+                lines.append(f"  ... {len(self.violations) - MAX_SHOWN_VIOLATIONS} more")
         return lines
 
 
@@ -309,7 +288,8 @@ def _separations_by_cut_vertex(g: Graph) -> Iterator[tuple[int, list[list[int]]]
     one more group unless w is the search root. Pairs are yielded one at a
     time because on a path the groups total O(n^2) vertices.
     """
-    adj = undirected_adjacency(g)
+    csr = edge_csr(g)
+    adj = csr.maximum(csr.T).tolil().rows  # neighbours in the underlying undirected graph
     n = g.vertex_count
     disc = [-1] * n  # preorder position
     low = [0] * n
@@ -528,7 +508,7 @@ def rsm_to_csv(m: RsmMatrix) -> str:
 _INF_SPELLINGS = {"inf", "infinity"}
 
 
-def rsm_from_csv(text: str, source_rsm: str = EXTERNAL_TAG) -> RsmMatrix:
+def rsm_from_csv(text: str) -> RsmMatrix:
     rows: list[list[float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -554,7 +534,7 @@ def rsm_from_csv(text: str, source_rsm: str = EXTERNAL_TAG) -> RsmMatrix:
         raise DimensionMismatchError(
             f"expected a square matrix, got {len(rows)} rows of width {width}"
         )
-    return RsmMatrix(values=np.array(rows), source_rsm=source_rsm)
+    return RsmMatrix(values=np.array(rows), source_rsm=EXTERNAL_TAG)
 
 
 def rsm_to_json(m: RsmMatrix) -> str:
@@ -577,7 +557,7 @@ _JSON_NUMBER_TYPES = {float, int}
 _JSON_CONSTANTS = {"Infinity": "inf", "-Infinity": -math.inf, "NaN": math.nan}
 
 
-def rsm_from_json(text: str, source_rsm: str | None = None) -> RsmMatrix:
+def rsm_from_json(text: str) -> RsmMatrix:
     try:
         doc = json.loads(text, parse_constant=_JSON_CONSTANTS.__getitem__)
     except json.JSONDecodeError as exc:
@@ -612,5 +592,4 @@ def rsm_from_json(text: str, source_rsm: str | None = None) -> RsmMatrix:
         raise ParseError("bad matrix entry nan")
     if np.count_nonzero(np.isposinf(values)) != tagged_inf:
         raise ParseError("finite matrix entry too large for a float")
-    tag = source_rsm if source_rsm is not None else doc.get("rsm", EXTERNAL_TAG)
-    return RsmMatrix(values=values, source_rsm=str(tag))
+    return RsmMatrix(values=values, source_rsm=str(doc.get("rsm", EXTERNAL_TAG)))

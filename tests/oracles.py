@@ -5,18 +5,17 @@ Floyd-Warshall instead of per-source Dijkstra, an eigendecomposition
 pseudoinverse instead of the shifted-inverse identity, plain double loops
 instead of vectorized table lookups and thresholding, an edge loop instead
 of scattered Laplacian entries, vertex-by-vertex removal instead of
-low-links, and ``json.dumps`` instead of string building. Deliberately slow
-and simple.
+low-links, a breadth-first search instead of scipy's component labelling,
+and ``json.dumps`` instead of string building. Deliberately slow and simple.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import deque
 
 import numpy as np
-
-from rsmc.graph import connected_components, undirected_adjacency
 
 
 def floyd_warshall_distances(g) -> np.ndarray:
@@ -142,18 +141,49 @@ def loop_refine_pairs(vals, epsilon: float, tol: float) -> list[list[int]]:
             if vals[i][j] <= thr and vals[j][i] <= thr]
 
 
+def _adjacency_sets(g) -> list[set[int]]:
+    """Neighbor sets of the underlying undirected graph."""
+    adj: list[set[int]] = [set() for _ in range(g.vertex_count)]
+    for src, dst, _ in g.edges:
+        adj[src].add(dst)
+        adj[dst].add(src)
+    return adj
+
+
+def bfs_components(g) -> tuple[tuple[int, ...], int]:
+    """(component id per vertex, component count) by breadth-first search.
+
+    Ids follow each component's smallest vertex, as in ``connected_components``.
+    """
+    adj = _adjacency_sets(g)
+    assignment = [-1] * g.vertex_count
+    count = 0
+    for start in range(g.vertex_count):
+        if assignment[start] != -1:
+            continue
+        queue = deque([start])
+        assignment[start] = count
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if assignment[w] == -1:
+                    assignment[w] = count
+                    queue.append(w)
+        count += 1
+    return tuple(assignment), count
+
+
 def brute_force_separations(g) -> list[tuple[int, list[list[int]]]]:
     """For every cut vertex w, the vertex groups its removal separates.
 
     Drops each vertex in turn and re-runs reachability inside its original
     component: O(n (n + m)), but obviously correct.
     """
-    adj = undirected_adjacency(g)
-    partition = connected_components(g)
-    comps = partition.components()
+    adj = _adjacency_sets(g)
+    assignment, _ = bfs_components(g)
     out: list[tuple[int, list[list[int]]]] = []
     for w in range(g.vertex_count):
-        comp = comps[partition.assignment[w]]
+        comp = [v for v in range(g.vertex_count) if assignment[v] == assignment[w]]
         rest = [v for v in comp if v != w]
         if len(rest) < 2:
             continue

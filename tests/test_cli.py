@@ -172,10 +172,14 @@ def test_detect_sweep_unbounded_grid(path3, capsys, sweep):
     ["detect", "--similarity-spec", "{spec}", "--directed", "--epsilon", "1"],
     ["matrix", "--similarity-spec", "{spec}", "--directed"],
     ["validate-rsm", "--matrix", "{matrix}", "--directed"],
+    ["detect", "--builtin", "karate", "--rsm", "sdf", "--directed", "--epsilon", "1"],
+    ["matrix", "--builtin", "karate", "--rsm", "erf", "--directed"],
+    ["validate-rsm", "--matrix", "{matrix}", "--builtin", "karate", "--directed"],
 ], ids=["graph-and-spec", "rsm-and-matrix", "spec-and-matrix", "input-and-builtin",
         "input-without-rsm", "no-source-detect", "no-source-matrix", "validate-rsm-two-graphs",
         "directed-matrix", "directed-spec", "directed-matrix-command",
-        "validate-rsm-directed-without-graph"])
+        "validate-rsm-directed-without-graph", "directed-builtin-detect",
+        "directed-builtin-matrix", "directed-builtin-validate-rsm"])
 def test_source_conflict_exits_2(path3, sim_spec, tmp_path, capsys, argv):
     matrix = tmp_path / "m.csv"
     matrix.write_text("0,1,2\n1,0,1\n2,1,0\n")
@@ -333,6 +337,15 @@ def test_numerical_error_exits_3(tmp_path, capsys):
     assert "error:" in err
     # the Cholesky factorisation itself finds L + J/n indefinite
     assert "not positive definite" in err and len(err.splitlines()) == 1
+
+
+def test_erf_weight_too_small_to_invert_exits_3(tmp_path, capsys):
+    p = tmp_path / "tiny.tsv"
+    p.write_text("a b 1\nc d 5e-324\n")
+    assert main(["detect", "--input", str(p), "--rsm", "erf", "--epsilon", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: edge (2, 3) weight 5e-324 is too small to invert\n"
 
 
 def test_detect_is_deterministic(capsys):

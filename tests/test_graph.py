@@ -20,6 +20,7 @@ from rsmc import (
 from rsmc.graph import connected_components, scale_weights
 
 from graphgen import random_graph
+from oracles import bfs_components
 
 
 def test_parse_basic_two_edges():
@@ -136,6 +137,22 @@ def test_components_ignore_direction(seed):
         directed=True,
     )
     assert connected_components(g).assignment == connected_components(flipped).assignment
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_components_match_bfs_oracle(seed, directed):
+    # sparse, so most graphs have several components and isolated vertices
+    rng = np.random.RandomState(seed)
+    n = int(rng.randint(1, 30))
+    p = rng.uniform(0, 3 / n)
+    edges = tuple((i, j, 1.0) for i in range(n) for j in range(n)
+                  if i != j and (directed or i < j) and rng.rand() < p)
+    g = Graph(n, edges, directed)
+    part = connected_components(g)
+    assert (part.assignment, part.component_count) == bfs_components(g)
+    assert all(type(c) is int for c in part.assignment)
+    assert type(part.component_count) is int
 
 
 @settings(max_examples=60, deadline=None)

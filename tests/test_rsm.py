@@ -2,6 +2,7 @@
 
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,16 @@ def test_pseudoinverse_residual_reported():
     )
     with pytest.raises(NumericalError):
         erf_matrix(g)
+
+
+def test_erf_rejects_weight_too_small_to_invert():
+    # 1/5e-324 and 1/1e-320 overflow; the first such edge in edge order is named
+    g = Graph(6, ((0, 1, 1.0), (2, 3, 5e-324), (4, 5, 1e-320)), directed=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError,
+                           match=r"^edge \(2, 3\) weight 5e-324 is too small to invert$"):
+            erf_matrix(g)
 
 
 def test_pseudoinverse_projection_residual_reported():
@@ -484,7 +495,7 @@ def test_csv_and_json_round_trip(seed):
     rng = np.random.RandomState(seed)
     g = random_graph(rng, n_max=8)
     m = sdf_matrix(g)
-    via_csv = rsm_from_csv(rsm_to_csv(m), source_rsm=m.source_rsm)
+    via_csv = rsm_from_csv(rsm_to_csv(m))
     via_json = rsm_from_json(rsm_to_json(m))
     assert (via_csv.values == m.values).all()
     assert (via_json.values == m.values).all()
