@@ -14,6 +14,7 @@ from .community import (
     communities_to_csv,
     communities_to_dot,
     communities_to_json,
+    count_maximal_communities,
     enumerate_maximal_communities,
     refine,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "communities_to_csv",
     "communities_to_dot",
     "communities_to_json",
+    "count_maximal_communities",
     "enumerate_maximal_communities",
     "erf_matrix",
     "load_builtin_dataset",

@@ -22,6 +22,7 @@ from .community import (
     communities_to_csv,
     communities_to_dot,
     communities_to_json,
+    count_maximal_communities,
     enumerate_maximal_communities,
     refine,
 )
@@ -235,24 +236,32 @@ def cmd_detect(args: argparse.Namespace) -> int:
         raise InvalidSpecError("exactly one of --epsilon / --epsilon-sweep is required")
 
     if args.epsilon_sweep is not None:
+        if args.format not in (None, "csv"):
+            raise InvalidSpecError(f"--epsilon-sweep writes csv, not --format {args.format}")
         sweep = _parse_sweep(args.epsilon_sweep)
+        start = time.perf_counter()
         cfg = _config_from(args, epsilon=sweep[0], tol=args.tol)
-        m, labels, _ = resolve_rsm(cfg)
-        lines = ["epsilon,communities"]
-        for eps in sweep:
-            found = enumerate_maximal_communities(refine(m, eps, args.tol))
-            lines.append(f"{eps:g},{len(found)}")
+        m, _, g = resolve_rsm(cfg)
+        counts = count_maximal_communities(m, sweep, cfg.tol)
+        lines = ["epsilon,communities"] + [f"{eps:g},{c}" for eps, c in zip(sweep, counts)]
         _write_out("\n".join(lines) + "\n", args.out)
+        edges = f", {len(g.edges)} edges" if g is not None else ""
+        print(
+            f"{m.source_rsm} rsm on {m.n} vertices{edges} -> {min(counts)} to {max(counts)} "
+            f"maximal communities over {len(sweep)} epsilons (tol={cfg.tol:g}) "
+            f"in {time.perf_counter() - start:.3f}s",
+            file=sys.stderr,
+        )
         return 0
 
     cfg = _config_from(args, epsilon=args.epsilon, tol=args.tol)
     result = run_pipeline(cfg)
-    if args.format == "json":
-        doc = communities_to_json(result.communities, result.labels)
-    elif args.format == "dot":
+    if args.format == "dot":
         doc = communities_to_dot(result.eeg, result.communities, result.labels)
-    else:
+    elif args.format == "csv":
         doc = communities_to_csv(result.communities, result.labels)
+    else:
+        doc = communities_to_json(result.communities, result.labels)
     _write_out(doc, args.out)
     edge_count = len(result.graph.edges) if result.graph is not None else len(result.eeg.edges)
     print(
@@ -331,7 +340,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="emit community counts per epsilon as CSV instead")
     detect.add_argument("--tol", type=float, default=REFINE_TOL,
                         help="additive comparison slack (default %(default)g)")
-    detect.add_argument("--format", choices=("json", "dot", "csv"), default="json")
+    detect.add_argument("--format", choices=("json", "dot", "csv"), default=None,
+                        help="output format (default json; a sweep writes csv only)")
     detect.add_argument("--out", metavar="FILE", help="write here instead of stdout")
     detect.set_defaults(func=cmd_detect)
 

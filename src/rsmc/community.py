@@ -10,12 +10,15 @@ are exactly the maximal cliques.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     NegativeEpsilonError,
@@ -24,6 +27,8 @@ from .errors import (
     UnknownVertexError,
 )
 from .rsm import RsmMatrix
+
+log = logging.getLogger(__name__)
 
 #: Default additive slack for the g <= epsilon comparisons.
 REFINE_TOL = 1e-9
@@ -79,13 +84,8 @@ class Community:
         object.__setattr__(self, "members", members)
 
 
-def refine(m: RsmMatrix, epsilon: float, tol: float = REFINE_TOL) -> EffectiveEdgeGraph:
-    """Threshold an RSM matrix into its effective edge graph.
-
-    Edge {u, v} survives iff m[u][v] <= epsilon + tol and m[v][u] <= epsilon
-    + tol. +inf entries never pass, so cross-component pairs can never share
-    a community.
-    """
+def _threshold(epsilon: float, tol: float) -> float:
+    """The strength bound epsilon + tol, after checking both terms and their sum."""
     epsilon = float(epsilon)
     if math.isnan(epsilon) or epsilon < 0:
         raise NegativeEpsilonError(f"epsilon must be >= 0, got {epsilon}")
@@ -96,10 +96,28 @@ def refine(m: RsmMatrix, epsilon: float, tol: float = REFINE_TOL) -> EffectiveEd
     # an infinite threshold would relate +inf pairs across components
     if not math.isfinite(thr):
         raise ThresholdError(f"epsilon + tol must be finite, got {epsilon} + {tol}")
-    vals = m.values
+    return thr
+
+
+def _related_pairs(vals: np.ndarray, thr: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the pairs i < j with vals[i, j] <= thr, in row-major order."""
     # a flat scan is far faster than a 2-D np.nonzero; keep each pair once, i < j
-    rows, cols = np.divmod(np.flatnonzero(vals <= thr), m.n)
-    both = (rows < cols) & (vals[cols, rows] <= thr)
+    rows, cols = np.divmod(np.flatnonzero(vals <= thr), len(vals))
+    upper = rows < cols
+    return rows[upper], cols[upper]
+
+
+def refine(m: RsmMatrix, epsilon: float, tol: float = REFINE_TOL) -> EffectiveEdgeGraph:
+    """Threshold an RSM matrix into its effective edge graph.
+
+    Edge {u, v} survives iff m[u][v] <= epsilon + tol and m[v][u] <= epsilon
+    + tol. +inf entries never pass, so cross-component pairs can never share
+    a community.
+    """
+    thr = _threshold(epsilon, tol)
+    vals = m.values
+    rows, cols = _related_pairs(vals, thr)
+    both = vals[cols, rows] <= thr
     edges = np.column_stack([rows[both], cols[both]])
     return EffectiveEdgeGraph(
         vertex_count=m.n, edges=edges, epsilon=epsilon, rsm_tag=m.source_rsm
@@ -117,17 +135,6 @@ def is_community(members: Iterable[int], eeg: EffectiveEdgeGraph) -> bool:
             raise UnknownVertexError(f"vertex {v} not in graph of size {eeg.vertex_count}")
     pairs = set(map(tuple, eeg.edges.tolist()))
     return all(pair in pairs for pair in combinations(ms, 2))
-
-
-def _adjacency_bits(eeg: EffectiveEdgeGraph) -> list[int]:
-    """Neighbourhood of each vertex as an int bitset (bit v set iff v is adjacent)."""
-    n = eeg.vertex_count
-    u, v = eeg.edges.T
-    dense = np.zeros((n, n), dtype=bool)
-    dense[u, v] = True
-    dense[v, u] = True
-    packed = np.packbits(dense, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _bits(s: int) -> Iterator[int]:
@@ -170,6 +177,39 @@ def _maximal_cliques(adj: list[int]) -> list[int]:
     return out
 
 
+def _component_cliques(n: int, edges: np.ndarray) -> Iterator[tuple[np.ndarray, list[int]]]:
+    """Every maximal clique of the graph on n vertices with ``edges``, one component at a time.
+
+    Yields (vertices, cliques) per connected component: its vertices
+    ascending, and its maximal cliques as bitsets in which bit i stands for
+    vertices[i]. Each search sees bitsets only as wide as its component.
+    """
+    u, v = edges.T
+    count, labels = connected_components(
+        csr_matrix((np.ones(len(u), dtype=bool), (u, v)), shape=(n, n)), directed=False)
+    order = np.argsort(labels, kind="stable")  # components in turn, each ascending
+    sizes = np.bincount(labels, minlength=count).tolist()
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    dense = np.zeros((n, n), dtype=bool)
+    dense[position[u], position[v]] = True
+    dense[position[v], position[u]] = True
+    # the permuted adjacency is block diagonal, so each component's rows are
+    # one run and its neighbourhoods one run of bits
+    packed = np.packbits(dense, axis=1, bitorder="little")
+    start = 0
+    for k in sizes:
+        vertices = order[start:start + k]
+        if k <= 2:  # a vertex or an edge: the component is its one clique
+            yield vertices, [(1 << k) - 1]
+        else:
+            mask = (1 << k) - 1
+            yield vertices, _maximal_cliques(
+                [(int.from_bytes(row.tobytes(), "little") >> start) & mask
+                 for row in packed[start:start + k]])
+        start += k
+
+
 def _canonical(cliques: Iterable[tuple[int, ...]], eeg: EffectiveEdgeGraph) -> list[Community]:
     """Communities from cliques given as ascending member tuples, in lexicographic order."""
     return [
@@ -181,16 +221,61 @@ def _canonical(cliques: Iterable[tuple[int, ...]], eeg: EffectiveEdgeGraph) -> l
 def enumerate_maximal_communities(eeg: EffectiveEdgeGraph) -> list[Community]:
     """All maximal communities of an effective edge graph.
 
-    These are exactly the maximal cliques, found by one iterative
-    Bron-Kerbosch search with Tomita pivoting over int bitsets: R, P, X and
-    every neighbourhood are bitsets, so each step is an AND and a popcount,
-    and the search keeps its own stack, so graphs of any size and density
-    take the same path. Isolated vertices come out as singletons. Output is
-    canonically ordered (members ascending, communities lexicographic) so
-    runs and implementations can be compared as plain lists.
+    These are exactly the maximal cliques, found component by component by
+    an iterative Bron-Kerbosch search with Tomita pivoting over int bitsets:
+    R, P, X and every neighbourhood are bitsets as wide as the component, so
+    each step is an AND and a popcount, and the search keeps its own stack,
+    so graphs of any size and density take the same path. Isolated vertices
+    come out as singletons. Output is canonically ordered (members
+    ascending, communities lexicographic) so runs and implementations can be
+    compared as plain lists.
     """
-    cliques = _maximal_cliques(_adjacency_bits(eeg))
-    return _canonical((tuple(_bits(c)) for c in cliques), eeg)
+    found = []
+    for vertices, cliques in _component_cliques(eeg.vertex_count, eeg.edges):
+        local = vertices.tolist()
+        found += [tuple(local[i] for i in _bits(c)) for c in cliques]
+    return _canonical(found, eeg)
+
+
+def count_maximal_communities(m: RsmMatrix, epsilons: Iterable[float],
+                              tol: float = REFINE_TOL) -> list[int]:
+    """Number of maximal communities at each epsilon, in the order given.
+
+    Equals ``len(enumerate_maximal_communities(refine(m, e, tol)))`` for each
+    e, and raises the same errors for a bad epsilon or tol. The matrix is
+    scanned once: every pair related at the largest threshold is keyed by
+    its weaker direction and the keys are sorted, so each epsilon's edges
+    are a prefix of that order. Cliques are counted, never materialised as
+    communities.
+    """
+    epsilons = list(epsilons)
+    thresholds = [_threshold(e, tol) for e in epsilons]
+    if not thresholds:
+        return []
+    vals = m.values
+    top = max(thresholds)
+    rows, cols = _related_pairs(vals, top)
+    # a pair whose weaker direction exceeds top sorts after every prefix
+    key = np.maximum(vals[rows, cols], vals[cols, rows])
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    edges = np.column_stack([rows[order], cols[order]])
+    counts = []
+    for epsilon, thr in zip(epsilons, thresholds):
+        # key <= thr compares the same floats refine compares, so the prefix
+        # holds exactly the pairs refine keeps
+        stop = int(np.searchsorted(key, thr, side="right"))
+        sizes = []
+        found = 0
+        for vertices, cliques in _component_cliques(m.n, edges[:stop]):
+            sizes.append(len(vertices))
+            found += len(cliques)
+        log.debug(
+            "epsilon %g: %d related pairs, %d components (largest %d), "
+            "%d maximal communities", epsilon, stop, len(sizes), max(sizes), found,
+        )
+        counts.append(found)
+    return counts
 
 
 def brute_force_maximal_communities(eeg: EffectiveEdgeGraph) -> list[Community]:

@@ -6,7 +6,8 @@ pseudoinverse instead of the shifted-inverse identity, plain double loops
 instead of vectorized table lookups and thresholding, an edge loop instead
 of scattered Laplacian entries, vertex-by-vertex removal instead of
 low-links, a breadth-first search instead of scipy's component labelling,
-and ``json.dumps`` instead of string building. Deliberately slow and simple.
+every vertex subset instead of a pivoted clique search, and ``json.dumps``
+instead of string building. Deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
+from itertools import combinations
 
 import numpy as np
 
@@ -139,6 +141,18 @@ def loop_refine_pairs(vals, epsilon: float, tol: float) -> list[list[int]]:
     n = len(vals)
     return [[i, j] for i in range(n) for j in range(i + 1, n)
             if vals[i][j] <= thr and vals[j][i] <= thr]
+
+
+def loop_sweep_counts(vals, epsilons, tol: float) -> list[int]:
+    """Maximal-clique count of each epsilon's related pairs, over every vertex subset."""
+    n = len(vals)
+    counts = []
+    for epsilon in epsilons:
+        related = {tuple(pair) for pair in loop_refine_pairs(vals, epsilon, tol)}
+        cliques = [set(c) for size in range(1, n + 1) for c in combinations(range(n), size)
+                   if all(pair in related for pair in combinations(c, 2))]
+        counts.append(sum(1 for c in cliques if not any(c < other for other in cliques)))
+    return counts
 
 
 def _adjacency_sets(g) -> list[set[int]]:

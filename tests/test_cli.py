@@ -2,10 +2,15 @@
 
 import contextlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rsmc
 from rsmc import InvalidSpecError, PipelineConfig, run_pipeline
 from rsmc.cli import main
 
@@ -113,6 +118,41 @@ def test_detect_sweep(path3, capsys):
                  "--epsilon-sweep", "0:2:1"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines() == ["epsilon,communities", "0,3", "1,2", "2,1"]
+
+
+def test_detect_sweep_prints_one_summary_line(path3, sim_spec, capsys):
+    assert main(["detect", "--input", path3, "--rsm", "sdf", "--epsilon-sweep", "0:2:1"]) == 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("sdf rsm on 3 vertices, 2 edges -> 1 to 3 maximal communities "
+                          "over 3 epsilons (tol=1e-09) in ")
+    assert main(["detect", "--similarity-spec", sim_spec, "--epsilon-sweep", "0:1:1"]) == 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("similarity rsm on 3 vertices -> ")
+
+
+def test_detect_sweep_counts_in_one_call(path3, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("rsmc.cli.count_maximal_communities",
+                        lambda m, eps, tol: calls.append(list(eps)) or [0] * len(eps))
+    monkeypatch.setattr("rsmc.cli.refine", None)
+    monkeypatch.setattr("rsmc.cli.enumerate_maximal_communities", None)
+    assert main(["detect", "--input", path3, "--rsm", "sdf", "--epsilon-sweep", "0:2:1"]) == 0
+    assert calls == [[0.0, 1.0, 2.0]]
+
+
+def test_detect_sweep_format(path3, capsys):
+    argv = ["detect", "--input", path3, "--rsm", "sdf", "--epsilon-sweep", "0:2:1"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out == plain
+    for fmt in ("json", "dot"):
+        assert main(argv + ["--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --epsilon-sweep writes csv, not --format {fmt}\n"
 
 
 def test_detect_sweep_malformed(path3, capsys):
@@ -317,6 +357,17 @@ def test_datasets(capsys):
     out = capsys.readouterr().out
     assert "karate" in out
     assert "34 vertices, 78 edges" in out
+
+
+def test_python_m_rsmc_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(rsmc.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "rsmc", "datasets"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("karate\t34 vertices, 78 edges")
 
 
 def test_input_error_exits(tmp_path, capsys):

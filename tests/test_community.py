@@ -1,6 +1,7 @@
 """Refinement, community predicate, clique enumeration vs exhaustive oracle."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from rsmc import (
     communities_to_csv,
     communities_to_dot,
     communities_to_json,
+    count_maximal_communities,
     enumerate_maximal_communities,
     refine,
     sdf_matrix,
@@ -26,7 +28,7 @@ from rsmc import (
 from rsmc.community import is_community
 
 from graphgen import edge_set, path_graph, random_eeg
-from oracles import loop_refine_pairs
+from oracles import loop_refine_pairs, loop_sweep_counts
 
 
 def eeg_from(n, pairs, epsilon=1.0, tag="external"):
@@ -187,6 +189,67 @@ def test_is_community_unknown_vertex():
 
 
 # ---------------------------------------------------------------------------
+# Counting over an epsilon sweep
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sweep_counts_match_refine_and_oracle(data):
+    pool = data.draw(st.lists(st.floats(0, 10), min_size=1, max_size=3))
+    # unsorted, possibly repeated epsilons
+    epsilons = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    tol = data.draw(st.sampled_from([0.0, 1e-9, 0.5]))
+    # entries exactly at each threshold and one ulp to either side, +inf, and anything else
+    near = [t for e in epsilons for t in (e + tol, np.nextafter(e + tol, -np.inf),
+                                          np.nextafter(e + tol, np.inf))]
+    entry = st.one_of(st.sampled_from(near + [np.inf]), st.floats(0, 2 * max(near) + 1))
+    n = data.draw(st.integers(1, 7))
+    vals = np.array(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                       min_size=n, max_size=n)))
+    for v in data.draw(st.sets(st.integers(0, n - 1), max_size=3)):
+        vals[v, :] = vals[:, v] = np.inf  # an isolated vertex at every epsilon
+    m = RsmMatrix(vals, "external")
+    counts = count_maximal_communities(m, epsilons, tol)
+    assert counts == loop_sweep_counts(vals, epsilons, tol)
+    assert counts == [len(enumerate_maximal_communities(refine(m, e, tol))) for e in epsilons]
+
+
+@pytest.mark.parametrize("epsilons, tol, error", [
+    ([-0.5], 1e-9, NegativeEpsilonError),
+    ([float("nan")], 1e-9, NegativeEpsilonError),
+    ([1.0, -0.5], 1e-9, NegativeEpsilonError),
+    ([float("inf")], 1e-9, ThresholdError),
+    ([1.0], float("inf"), ThresholdError),
+    ([1.0], float("nan"), ThresholdError),
+    ([1.0], -1e-9, ThresholdError),
+    ([1.7e308], 1e308, ThresholdError),
+])
+def test_sweep_counts_reject_what_refine_rejects(epsilons, tol, error):
+    m = sdf_matrix(path_graph(2))
+    with pytest.raises(error):
+        refine(m, epsilons[-1], tol)
+    with pytest.raises(error):
+        count_maximal_communities(m, epsilons, tol)
+
+
+def test_sweep_counts_of_no_epsilons():
+    assert count_maximal_communities(sdf_matrix(path_graph(2)), []) == []
+
+
+def test_sweep_counts_log_one_debug_line_per_epsilon(caplog):
+    vals = np.full((4, 4), np.inf)  # a 3-vertex path and an isolated vertex
+    vals[:3, :3] = sdf_matrix(path_graph(3)).values
+    vals[3, 3] = 0.0
+    with caplog.at_level(logging.DEBUG, logger="rsmc.community"):
+        assert count_maximal_communities(RsmMatrix(vals, "sdf"), [2, 0, 1]) == [2, 4, 3]
+    assert [r.getMessage() for r in caplog.records if r.name == "rsmc.community"] == [
+        "epsilon 2: 3 related pairs, 2 components (largest 3), 2 maximal communities",
+        "epsilon 0: 0 related pairs, 4 components (largest 1), 4 maximal communities",
+        "epsilon 1: 2 related pairs, 2 components (largest 3), 3 maximal communities",
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
 
@@ -222,6 +285,26 @@ def test_brute_force_size_cap():
 def test_enumeration_equals_brute_force(seed):
     rng = np.random.RandomState(seed)
     eeg = random_eeg(rng, n_max=12)
+    assert enumerate_maximal_communities(eeg) == brute_force_maximal_communities(eeg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_enumeration_equals_brute_force_over_many_components(data):
+    # components of 1, 2 and 3 or more vertices, their vertices scattered
+    sizes = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=8)
+                      .filter(lambda s: sum(s) <= 20))
+    n = sum(sizes)
+    label = data.draw(st.permutations(range(n)))
+    pairs, start = set(), 0
+    for k in sizes:
+        group = range(start, start + k)
+        chain = {(v, v + 1) for v in group[:-1]}  # keeps the component connected
+        extra = {(u, v) for u in group for v in group if u + 1 < v}
+        kept = data.draw(st.sets(st.sampled_from(sorted(extra)))) if extra else set()
+        pairs |= {(label[u], label[v]) for u, v in chain | kept}
+        start += k
+    eeg = eeg_from(n, pairs)
     assert enumerate_maximal_communities(eeg) == brute_force_maximal_communities(eeg)
 
 
