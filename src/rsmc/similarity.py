@@ -104,10 +104,11 @@ def validate_similarity_table(table: CaseTable, tol: float = 1e-12) -> TableRepo
         coincidence = False
 
     asym = np.triu(vals != vals.T, k=1)
-    for i, j in zip(*np.nonzero(asym)):
-        violations.append(
-            Violation("asymmetry", (names[i], names[j]), float(abs(vals[i, j] - vals[j, i])))
-        )
+    with np.errstate(over="ignore"):  # an overflowed difference is +inf, the right gap
+        for i, j in zip(*np.nonzero(asym)):
+            violations.append(
+                Violation("asymmetry", (names[i], names[j]), float(abs(vals[i, j] - vals[j, i])))
+            )
     symmetry = not asym.any()
 
     breaks = triangle_breaks(vals, tol)

@@ -6,8 +6,9 @@ pseudoinverse instead of the shifted-inverse identity, plain double loops
 instead of vectorized table lookups and thresholding, an edge loop instead
 of scattered Laplacian entries, vertex-by-vertex removal instead of
 low-links, a breadth-first search instead of scipy's component labelling,
-every vertex subset instead of a pivoted clique search, and ``json.dumps``
-instead of string building. Deliberately slow and simple.
+every vertex subset instead of a pivoted clique search, a triple loop over
+Python floats instead of blocked array minima, and ``json.dumps`` instead of
+string building. Deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -153,6 +154,27 @@ def loop_sweep_counts(vals, epsilons, tol: float) -> list[int]:
                    if all(pair in related for pair in combinations(c, 2))]
         counts.append(sum(1 for c in cliques if not any(c < other for other in cliques)))
     return counts
+
+
+def triangle_breaks_oracle(vals, tol: float) -> list[tuple[int, int, int, float]]:
+    """(i, k, j, excess) for each finite entry above its shortest two-leg route plus tol.
+
+    Rows in order, then columns; k is the first vertex of a shortest route.
+    Python float sums overflow to +-inf without a warning.
+    """
+    rows = [[float(v) for v in row] for row in vals]
+    n = len(rows)
+    found = []
+    for i in range(n):
+        for j in range(n):
+            best, via = math.inf, 0
+            for k in range(n):
+                leg = rows[i][k] + rows[k][j]
+                if leg < best:
+                    best, via = leg, k
+            if math.isfinite(rows[i][j]) and not rows[i][j] <= best + tol:
+                found.append((i, via, j, rows[i][j] - best))
+    return found
 
 
 def _adjacency_sets(g) -> list[set[int]]:

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import os
 import warnings
 
 import numpy as np
@@ -29,7 +30,13 @@ from rsmc import (
     validate_rsm,
 )
 from rsmc.graph import connected_components, scale_weights
-from rsmc.rsm import _separations_by_cut_vertex, laplacian, laplacian_pseudoinverse
+from rsmc.rsm import (
+    Violation,
+    _separations_by_cut_vertex,
+    laplacian,
+    laplacian_pseudoinverse,
+    triangle_breaks,
+)
 
 from graphgen import (
     barbell,
@@ -48,6 +55,7 @@ from oracles import (
     floyd_warshall_distances,
     json_dumps_rsm,
     resistance_matrix_oracle,
+    triangle_breaks_oracle,
 )
 
 
@@ -316,6 +324,96 @@ def test_validation_flags_triangle_violation():
     # +inf is left to the disconnection pattern, never reported as a triangle break
     vals[0, 2] = vals[2, 0] = np.inf
     assert validate_rsm(RsmMatrix(vals, "external")).triangle
+
+
+#: Rows per block the triangle-check tests force, so that blocking shows on small n.
+BLOCK_ROWS = 4
+
+
+def _set_cpus(monkeypatch, count):
+    """Give the process ``count`` CPUs in its affinity mask, or no mask at all for None."""
+    if count is None:
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _hostile_matrix(rng, n):
+    """Asymmetric entries with +inf, negatives, signed zeros and many ties."""
+    vals = rng.uniform(-1.0, 3.0, (n, n))
+    ties = rng.random_sample((n, n)) < 0.6
+    vals[ties] = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, math.inf], ties.sum())
+    return vals
+
+
+@pytest.mark.parametrize("n", [1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 2])
+@pytest.mark.parametrize("tol", [1e-8, 0.1, 1.0])
+def test_triangle_breaks_match_the_triple_loop(monkeypatch, n, tol):
+    monkeypatch.setattr("rsmc.rsm._BLOCK_BYTES", BLOCK_ROWS * 8 * n)
+    rng = np.random.RandomState(n)
+    for _ in range(5):
+        vals = _hostile_matrix(rng, n)
+        expected = triangle_breaks_oracle(vals, tol)
+        for cpus in (1, 4, None):  # one worker, a pool, no affinity mask
+            with monkeypatch.context() as patch:
+                _set_cpus(patch, cpus)
+                assert triangle_breaks(vals, tol) == expected
+
+
+def test_triangle_breaks_match_the_triple_loop_over_two_default_blocks(caplog):
+    vals = _hostile_matrix(np.random.RandomState(257), 257)
+    with caplog.at_level(logging.DEBUG, logger="rsmc.rsm"):
+        assert triangle_breaks(vals, 1e-8) == triangle_breaks_oracle(vals, 1e-8)
+    assert "257-vertex matrix in 255-row blocks" in caplog.records[-1].getMessage()
+
+
+def test_triangle_check_logs_one_debug_line(monkeypatch, caplog):
+    vals = np.array([
+        [0.0, 1.0, 5.0],
+        [1.0, 0.0, 1.0],
+        [5.0, 1.0, 0.0],
+    ])
+    with caplog.at_level(logging.DEBUG, logger="rsmc.rsm"):
+        validate_rsm(RsmMatrix(vals, "external"))
+        monkeypatch.setattr("rsmc.rsm._BLOCK_BYTES", 8 * 3)
+        for cpus in (2, None):
+            with monkeypatch.context() as patch:
+                _set_cpus(patch, cpus)
+                triangle_breaks(vals, 1e-8)
+    lines = [r.getMessage() for r in caplog.records if r.name == "rsmc.rsm"]
+    blockings = ("21845-row blocks on 1 worker(s)", "1-row blocks on 2 worker(s)",
+                 "1-row blocks on 3 worker(s)")
+    assert len(lines) == len(blockings)
+    for line, blocking in zip(lines, blockings):
+        head, seconds = line.rsplit(", ", 1)
+        assert head == f"triangle check of a 3-vertex matrix in {blocking}: 2 break(s)"
+        assert float(seconds.removesuffix(" s")) >= 0
+
+
+def test_validation_near_float_max_warns_nothing(monkeypatch):
+    # the suite turns RuntimeWarning into an error; an overflowed sum or difference is +-inf
+    near_max = np.array([
+        [0.0, 1e308, 1.5e308],
+        [1e308, 0.0, 1e308],
+        [1.5e308, 1e308, 0.0],
+    ])
+    assert validate_rsm(RsmMatrix(near_max, "external")).all_passed
+    assert validate_rsm(RsmMatrix(near_max, "external"), path_graph(3)).violations == (
+        Violation("cut-additivity", (0, 1, 2), math.inf),
+        Violation("cut-additivity", (2, 1, 0), math.inf),
+    )
+    report = validate_rsm(RsmMatrix(np.array([[0.0, 1e308], [-1e308, 0.0]]), "external"))
+    assert report.violations[-1] == Violation("asymmetry", (0, 1), math.inf)
+    # legs summing below -float max make a -inf route, checked in pool threads
+    monkeypatch.setattr("rsmc.rsm._BLOCK_BYTES", 8 * 3)
+    _set_cpus(monkeypatch, 2)
+    vals = np.array([
+        [0.0, -1e308, 1e308],
+        [1.0, 0.0, -1e308],
+        [1.0, 1.0, 0.0],
+    ])
+    assert (0, 1, 2, math.inf) in triangle_breaks(vals, 1e-8)
 
 
 def test_validation_flags_asymmetry_on_undirected():

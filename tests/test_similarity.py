@@ -111,6 +111,13 @@ def test_table_and_matrix_report_the_same_triangle_breaks():
     assert from_table == from_matrix
 
 
+def test_table_asymmetry_near_float_max_warns_nothing():
+    report = validate_similarity_table(table(["a", "b"], [[0.0, 1e308], [-1e308, 0.0]]))
+    assert [(v.where, v.magnitude) for v in report.violations if v.kind == "asymmetry"] == [
+        (("a", "b"), float("inf"))
+    ]
+
+
 def test_table_structure_errors():
     with pytest.raises(InvalidSpecError):
         CaseTable(cases=(), values=np.zeros((0, 0)))
