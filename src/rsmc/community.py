@@ -151,63 +151,81 @@ def _maximal_cliques(adj: list[int]) -> list[int]:
     Bron-Kerbosch with Tomita's pivot (the vertex of P | X with the most
     neighbours in P), run on an explicit stack of (R, P, X) bitset triples
     so the depth is bounded by memory rather than the recursion limit.
+    Both loops walk their bitset lowest bit first. A branch whose P is empty
+    is a leaf and never goes on the stack, so ``adj`` must not be empty.
     """
     out = []
     stack = [(0, (1 << len(adj)) - 1, 0)]
     while stack:
         r, p, x = stack.pop()
-        if not p:
-            if not x:
-                out.append(r)
-            continue
         # a pivot adjacent to all of P but itself leaves at most one branch
         enough = p.bit_count() - 1
         pivot, best = -1, -1
-        for u in _bits(p | x):
+        s = p | x
+        while s:
+            low = s & -s
+            s ^= low
+            u = low.bit_length() - 1
             count = (p & adj[u]).bit_count()
             if count > best:
                 pivot, best = u, count
                 if count >= enough:
                     break
-        for v in _bits(p & ~adj[pivot]):
-            bit = 1 << v
-            stack.append((r | bit, p & adj[v], x & adj[v]))
+        s = p & ~adj[pivot]
+        while s:
+            bit = s & -s
+            s ^= bit
+            near = adj[bit.bit_length() - 1]
+            if p & near:
+                stack.append((r | bit, p & near, x & near))
+            elif not x & near:  # a leaf: R + v is maximal when nothing in X extends it
+                out.append(r | bit)
             p ^= bit
             x |= bit
     return out
 
 
-def _component_cliques(n: int, edges: np.ndarray) -> Iterator[tuple[np.ndarray, list[int]]]:
-    """Every maximal clique of the graph on n vertices with ``edges``, one component at a time.
+def _component_cliques(n: int, edges: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, list[int]]]]:
+    """Components of the graph on n vertices with ``edges``, and the cliques of the large ones.
 
-    Yields (vertices, cliques) per connected component: its vertices
-    ascending, and its maximal cliques as bitsets in which bit i stands for
-    vertices[i]. Each search sees bitsets only as wide as its component.
+    Returns each vertex's component label, each component's size, and for
+    every component of 3 or more vertices its vertices ascending with its
+    maximal cliques as bitsets in which bit i stands for vertices[i]. A
+    component of 1 or 2 vertices is its own one maximal clique, so callers
+    take those in bulk and only the larger ones are searched, each with
+    bitsets only as wide as itself.
     """
     u, v = edges.T
     count, labels = connected_components(
         csr_matrix((np.ones(len(u), dtype=bool), (u, v)), shape=(n, n)), directed=False)
-    order = np.argsort(labels, kind="stable")  # components in turn, each ascending
-    sizes = np.bincount(labels, minlength=count).tolist()
+    sizes = np.bincount(labels, minlength=count)
+    large = sizes >= 3
+    if not large.any():
+        return labels, sizes, []
+    # the vertices of the large components, one component after another,
+    # each ascending; their permuted adjacency is block diagonal, so each
+    # component's rows are one run and its neighbourhoods one run of bits
+    order = np.flatnonzero(large[labels])
+    order = order[np.argsort(labels[order], kind="stable")]
     position = np.empty(n, dtype=np.intp)
-    position[order] = np.arange(n)
-    dense = np.zeros((n, n), dtype=bool)
-    dense[position[u], position[v]] = True
-    dense[position[v], position[u]] = True
-    # the permuted adjacency is block diagonal, so each component's rows are
-    # one run and its neighbourhoods one run of bits
+    position[order] = np.arange(len(order))
+    inside = large[labels[u]]
+    pu, pv = position[u[inside]], position[v[inside]]
+    dense = np.zeros((len(order), len(order)), dtype=bool)
+    dense[pu, pv] = True
+    dense[pv, pu] = True
     packed = np.packbits(dense, axis=1, bitorder="little")
+    searched = []
     start = 0
-    for k in sizes:
-        vertices = order[start:start + k]
-        if k <= 2:  # a vertex or an edge: the component is its one clique
-            yield vertices, [(1 << k) - 1]
-        else:
-            mask = (1 << k) - 1
-            yield vertices, _maximal_cliques(
-                [(int.from_bytes(row.tobytes(), "little") >> start) & mask
-                 for row in packed[start:start + k]])
+    for k in sizes[large].tolist():
+        # only the bytes holding this component's run of bits
+        rows = packed[start:start + k, start >> 3:(start + k + 7) >> 3]
+        shift, mask = start & 7, (1 << k) - 1
+        searched.append((order[start:start + k], _maximal_cliques(
+            [(int.from_bytes(row.tobytes(), "little") >> shift) & mask for row in rows])))
         start += k
+    return labels, sizes, searched
 
 
 def _canonical(cliques: Iterable[tuple[int, ...]], eeg: EffectiveEdgeGraph) -> list[Community]:
@@ -230,8 +248,13 @@ def enumerate_maximal_communities(eeg: EffectiveEdgeGraph) -> list[Community]:
     ascending, communities lexicographic) so runs and implementations can be
     compared as plain lists.
     """
-    found = []
-    for vertices, cliques in _component_cliques(eeg.vertex_count, eeg.edges):
+    n, edges = eeg.vertex_count, eeg.edges
+    labels, sizes, searched = _component_cliques(n, edges)
+    # components of 1 or 2 vertices are their own cliques: isolated vertices
+    # and edges whose ends have no other neighbour, each row already u < v
+    found = [(v,) for v in np.flatnonzero(sizes[labels] == 1).tolist()]
+    found += map(tuple, edges[sizes[labels[edges[:, 0]]] == 2].tolist())
+    for vertices, cliques in searched:
         local = vertices.tolist()
         found += [tuple(local[i] for i in _bits(c)) for c in cliques]
     return _canonical(found, eeg)
@@ -265,14 +288,12 @@ def count_maximal_communities(m: RsmMatrix, epsilons: Iterable[float],
         # key <= thr compares the same floats refine compares, so the prefix
         # holds exactly the pairs refine keeps
         stop = int(np.searchsorted(key, thr, side="right"))
-        sizes = []
-        found = 0
-        for vertices, cliques in _component_cliques(m.n, edges[:stop]):
-            sizes.append(len(vertices))
-            found += len(cliques)
+        _, sizes, searched = _component_cliques(m.n, edges[:stop])
+        # a component of 1 or 2 vertices is one clique; only larger ones were searched
+        found = int(np.count_nonzero(sizes <= 2)) + sum(len(c) for _, c in searched)
         log.debug(
             "epsilon %g: %d related pairs, %d components (largest %d), "
-            "%d maximal communities", epsilon, stop, len(sizes), max(sizes), found,
+            "%d maximal communities", epsilon, stop, len(sizes), sizes.max(), found,
         )
         counts.append(found)
     return counts
@@ -323,25 +344,29 @@ def _label_table(n: int, labels: Sequence[str] | None) -> list[str]:
     return [str(s) for s in labels[:n]]
 
 
-def _member_labels(communities: Sequence[Community],
-                   labels: Sequence[str] | None) -> list[list[str]]:
-    """Member labels of each community, members ascending."""
+def _member_labels(communities: Sequence[Community], labels: Sequence[str] | None,
+                   spell=str) -> list[list[str]]:
+    """Member labels of each community, members ascending, each label spelled once by ``spell``."""
     if not communities:
         raise ValueError("no communities to serialize")
     table = _label_table(max(max(c.members) for c in communities) + 1, labels)
+    table = list(map(spell, table))
     return [[table[v] for v in sorted(c.members)] for c in communities]
 
 
 def communities_to_json(communities: Sequence[Community],
                         labels: Sequence[str] | None = None) -> str:
-    """JSON document {"epsilon":, "rsm":, "communities": [[labels...], ...]}."""
-    rows = _member_labels(communities, labels)
-    doc = {
-        "epsilon": communities[0].epsilon,
-        "rsm": communities[0].rsm_tag,
-        "communities": rows,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """JSON document {"epsilon":, "rsm":, "communities": [[labels...], ...]}.
+
+    The layout is exactly that of ``json.dumps(doc, indent=2)``, one label
+    per line, built from each label quoted once by ``json.dumps``: with an
+    indent, ``json`` falls back to its pure-Python encoder.
+    """
+    rows = _member_labels(communities, labels, json.dumps)
+    body = "\n    ],\n    [\n      ".join(",\n      ".join(row) for row in rows)
+    return ('{\n  "epsilon": ' + json.dumps(communities[0].epsilon)
+            + ',\n  "rsm": ' + json.dumps(communities[0].rsm_tag)
+            + ',\n  "communities": [\n    [\n      ' + body + "\n    ]\n  ]\n}\n")
 
 
 def communities_to_csv(communities: Sequence[Community],

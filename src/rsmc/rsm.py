@@ -49,7 +49,8 @@ RESIDUAL_TOL = 1e-9
 AXIOM_TOL = 1e-8
 #: How many violations a validation summary lists before counting the rest.
 MAX_SHOWN_VIOLATIONS = 10
-#: Largest running minimum, in bytes, of one row block in the triangle check.
+#: Largest row block, in bytes, of the triangle check's running minimum and
+#: of the resistance assembly in ``erf_matrix``.
 _BLOCK_BYTES = 2**19
 
 
@@ -58,15 +59,21 @@ class RsmMatrix:
     """Square matrix of relation strength values over extended nonnegative reals.
 
     +inf is an explicit sentinel for "no relation whatsoever"; it is never
-    approximated by a large finite number. The array is copied on
-    construction and frozen against writes.
+    approximated by a large finite number. A read-only float64 ndarray (not
+    a subclass) is kept as it is, so whoever made it read-only must not write to it through
+    another view; any other array is copied and the copy frozen against
+    writes. rsmc's own builders hand over fresh read-only arrays.
     """
 
     values: np.ndarray
     source_rsm: str
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
+        arr = self.values
+        if not (type(arr) is np.ndarray and arr.dtype == np.float64
+                and not arr.flags.writeable):
+            arr = np.array(arr, dtype=float)
+            arr.setflags(write=False)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise DimensionMismatchError(f"expected a nonempty square matrix, got shape {arr.shape}")
         lo = arr.min()  # NaN if any entry is NaN
@@ -74,7 +81,6 @@ class RsmMatrix:
             raise MatrixValueError("matrix entries must not be NaN")
         if lo == -math.inf:
             raise MatrixValueError("matrix entries must not be -inf")
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "source_rsm", str(self.source_rsm))
 
@@ -89,10 +95,21 @@ def sdf_matrix(g: Graph) -> RsmMatrix:
     Entry (i, j) is the minimum total weight over directed paths i -> j
     (undirected graphs traverse edges both ways), +inf when j is unreachable
     from i, and 0 on the diagonal. Weights are nonnegative by the Graph
-    invariants, so per-source Dijkstra applies.
+    invariants, so per-source Dijkstra applies. On an undirected graph the
+    matrix is exactly symmetric: each pair gets the smaller of its two
+    directions, which can differ in the last bit as the two searches add a
+    path's weights in opposite orders.
     """
     dist = dijkstra(edge_csr(g), directed=g.directed, return_predecessors=False)
-    return RsmMatrix(values=dist, source_rsm=SDF_TAG)
+    if not g.directed:
+        np.minimum(dist, dist.T, out=dist)
+    return _frozen(dist, SDF_TAG)
+
+
+def _frozen(values: np.ndarray, tag: str) -> RsmMatrix:
+    """An RsmMatrix over a fresh float64 array no one else holds, without copying it."""
+    values.setflags(write=False)
+    return RsmMatrix(values=values, source_rsm=tag)
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -136,7 +153,8 @@ def laplacian_pseudoinverse(component: Graph) -> np.ndarray:
     a = laplacian(component)
     src, dst, w = edge_arrays(component)
     scale = math.ldexp(1.0, math.frexp(w.max())[1] - 1) if w.size else 1.0
-    a /= scale
+    if scale != 1.0:  # dividing by 1.0 changes nothing
+        a /= scale
     diag = np.arange(n)
     nonzero = (np.concatenate([src, dst, diag]), np.concatenate([dst, src, diag]))
     lap_values = a[nonzero]
@@ -161,10 +179,10 @@ def laplacian_pseudoinverse(component: Graph) -> np.ndarray:
     lp = lap @ pinv
     lpl = lap @ lp.T  # L P L, as P and L are symmetric
     lpl[nonzero] -= lap_values
-    lpl_residual = float(np.abs(lpl).max())
+    lpl_residual = float(np.abs(lpl, out=lpl).max())
     lp += 1.0 / n
     lp[diag, diag] -= 1.0
-    lp_residual = float(np.abs(lp).max())
+    lp_residual = float(np.abs(lp, out=lp).max())
     log.debug(
         "pseudoinverse of a %d-vertex component at scale %g: LPL residual %.3e, "
         "LP residual %.3e, %.3f s", n, scale, lpl_residual, lp_residual,
@@ -175,7 +193,8 @@ def laplacian_pseudoinverse(component: Graph) -> np.ndarray:
             raise NumericalError(
                 f"pseudoinverse residual{what} {residual:.3e} exceeds tolerance {RESIDUAL_TOL:.3e}"
             )
-    pinv /= scale
+    if scale != 1.0:
+        pinv /= scale
     return pinv
 
 
@@ -188,7 +207,8 @@ def erf_matrix(g: Graph) -> RsmMatrix:
     P yields R[i, j] = P[i, i] + P[j, j] - 2 P[i, j]; pairs in different
     components get +inf. The conductance convention is what makes resistance
     scale linearly when all weights scale. Components are solved one after
-    another; the result is exactly symmetric.
+    another, an isolated vertex without a solve (its one entry is 0); the
+    result is exactly symmetric.
     """
     if g.directed:
         raise DirectedInputError("effective resistance is defined for undirected graphs only")
@@ -206,20 +226,42 @@ def erf_matrix(g: Graph) -> RsmMatrix:
     # edge indices grouped by component, in edge order within each group
     comp_edges = np.split(np.argsort(edge_comp, kind="stable"), np.cumsum(
         np.bincount(edge_comp, minlength=partition.component_count))[:-1])
-    values = np.full((n, n), np.inf) if partition.component_count > 1 else None
+    if partition.component_count == 1 and n > 1:
+        values = None
+    else:
+        values = np.full((n, n), np.inf)
+        np.fill_diagonal(values, 0.0)  # all an isolated vertex needs
     for comp, edges in zip(partition.components(), comp_edges):
+        if len(comp) == 1:
+            continue
         local = zip(np.searchsorted(comp, src[edges]).tolist(),
                     np.searchsorted(comp, dst[edges]).tolist(), conductance[edges].tolist())
         pinv = laplacian_pseudoinverse(Graph(len(comp), tuple(local), directed=False))
-        diag = np.diag(pinv)
-        block = diag[:, None] + diag[None, :]
-        pinv *= 2.0
-        block -= pinv  # exactly 0 on the diagonal, as P[i, i] + P[i, i] == 2 P[i, i]
+        _resistances_in_place(pinv)
         if values is None:
-            values = block  # one component holds every vertex, in order
+            values = pinv  # one component holds every vertex, in order
         else:
-            values[np.ix_(comp, comp)] = block
-    return RsmMatrix(values=values, source_rsm=ERF_TAG)
+            values[np.ix_(comp, comp)] = pinv
+    return _frozen(values, ERF_TAG)
+
+
+def _resistances_in_place(pinv: np.ndarray) -> None:
+    """Overwrite a pseudoinverse P with R[i, j] = (P[i, i] + P[j, j]) - 2 P[i, j].
+
+    Rows go in blocks of at most ``_BLOCK_BYTES`` through one temporary, so
+    no second n x n array is made. The diagonal comes out exactly 0, as
+    P[i, i] + P[i, i] == 2 P[i, i].
+    """
+    k = len(pinv)
+    diag = pinv.diagonal().copy()
+    rows = max(1, _BLOCK_BYTES // (pinv.itemsize * k))
+    temp = np.empty((min(rows, k), k))
+    for start in range(0, k, rows):
+        run = pinv[start:start + rows]
+        sums = temp[:len(run)]
+        np.add(diag[start:start + rows, None], diag, out=sums)
+        run *= 2.0
+        np.subtract(sums, run, out=run)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +628,7 @@ def rsm_from_csv(text: str) -> RsmMatrix:
         raise DimensionMismatchError(
             f"expected a square matrix, got {len(rows)} rows of width {width}"
         )
-    return RsmMatrix(values=np.array(rows), source_rsm=EXTERNAL_TAG)
+    return _frozen(np.array(rows, dtype=float), EXTERNAL_TAG)
 
 
 def rsm_to_json(m: RsmMatrix) -> str:
@@ -644,4 +686,4 @@ def rsm_from_json(text: str) -> RsmMatrix:
         raise ParseError("bad matrix entry nan")
     if np.count_nonzero(np.isposinf(values)) != tagged_inf:
         raise ParseError("finite matrix entry too large for a float")
-    return RsmMatrix(values=values, source_rsm=str(doc.get("rsm", EXTERNAL_TAG)))
+    return _frozen(values, str(doc.get("rsm", EXTERNAL_TAG)))

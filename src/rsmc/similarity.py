@@ -235,6 +235,7 @@ def combine_similarities(spec: SimilaritySpec) -> RsmMatrix:
             SimilarityWarning,
             stacklevel=2,
         )
+    values.setflags(write=False)  # fresh, so RsmMatrix need not copy it
     return RsmMatrix(values=values, source_rsm=SIMILARITY_TAG)
 
 

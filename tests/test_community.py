@@ -249,6 +249,56 @@ def test_sweep_counts_log_one_debug_line_per_epsilon(caplog):
     ]
 
 
+def test_sweep_log_counts_trivial_components(caplog):
+    vals = np.full((5, 5), np.inf)  # pairs {1, 3} and {0, 4}, vertex 2 alone
+    np.fill_diagonal(vals, 0.0)
+    vals[1, 3] = vals[3, 1] = 1.0
+    vals[0, 4] = vals[4, 0] = 2.0
+    with caplog.at_level(logging.DEBUG, logger="rsmc.community"):
+        assert count_maximal_communities(RsmMatrix(vals, "sdf"), [0, 1, 2]) == [5, 4, 3]
+    assert [r.getMessage() for r in caplog.records if r.name == "rsmc.community"] == [
+        "epsilon 0: 0 related pairs, 5 components (largest 1), 5 maximal communities",
+        "epsilon 1: 1 related pairs, 4 components (largest 2), 4 maximal communities",
+        "epsilon 2: 2 related pairs, 3 components (largest 2), 3 maximal communities",
+    ]
+
+
+def _mostly_trivial_matrix(data):
+    """A matrix whose components are mostly 1 or 2 vertices, scattered over the labels.
+
+    Pairs inside a group get strengths 1, 2 or 3 in each direction, so the
+    groups split into smaller components at lower epsilons.
+    """
+    sizes = data.draw(st.lists(st.sampled_from([1, 1, 1, 2, 2, 3, 4]), min_size=1, max_size=10)
+                      .filter(lambda s: sum(s) <= 12))
+    n = sum(sizes)
+    label = data.draw(st.permutations(range(n)))
+    vals = np.full((n, n), np.inf)
+    np.fill_diagonal(vals, 0.0)
+    start = 0
+    for k in sizes:
+        group = label[start:start + k]
+        for a, u in enumerate(group):
+            for v in group[a + 1:]:
+                vals[u, v] = data.draw(st.sampled_from([1.0, 2.0, 3.0]))
+                vals[v, u] = data.draw(st.sampled_from([1.0, 2.0, 3.0]))
+        start += k
+    return vals
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sweep_and_enumeration_over_mostly_trivial_components(data):
+    vals = _mostly_trivial_matrix(data)
+    epsilons = data.draw(st.lists(st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0]),
+                                  min_size=1, max_size=4))
+    m = RsmMatrix(vals, "external")
+    assert count_maximal_communities(m, epsilons) == loop_sweep_counts(vals, epsilons, 1e-9)
+    for epsilon in epsilons:
+        eeg = refine(m, epsilon)
+        assert enumerate_maximal_communities(eeg) == brute_force_maximal_communities(eeg)
+
+
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
@@ -266,6 +316,14 @@ def test_enumerate_path():
 
 def test_enumerate_edgeless_gives_singletons():
     assert members(enumerate_maximal_communities(eeg_from(3, set()))) == [(0,), (1,), (2,)]
+
+
+def test_enumerate_orders_singletons_and_pairs_canonically():
+    # each pair comes out ascending: (1, 3) sorts before (2,), where (3, 1) would not
+    found = enumerate_maximal_communities(eeg_from(5, {(3, 1), (4, 0)}))
+    assert [sorted(c.members) for c in found] == [[0, 4], [1, 3], [2]]
+    found = enumerate_maximal_communities(eeg_from(4, {(1, 3)}))
+    assert [sorted(c.members) for c in found] == [[0], [1, 3], [2]]
 
 
 def test_enumerate_five_cycle():
@@ -423,6 +481,19 @@ def test_json_output_default_labels_and_errors():
         communities_to_json([])
     with pytest.raises(ValueError):
         communities_to_json(found, labels=["only-one"])
+
+
+@pytest.mark.parametrize("labels", [
+    None,
+    ["a", 'say "hi"', "back\\slash", "caf\u00e9 \u2603", "tab\tnew\nline\x00\x1f", ""],
+])
+@pytest.mark.parametrize("epsilon", [0.1, 3, float("inf")])
+def test_json_output_matches_json_dumps_indent_2(labels, epsilon):
+    eeg = eeg_from(6, {(0, 1), (1, 2), (0, 2), (3, 4)}, tag='tag "q"')
+    found = [Community(c.members, epsilon, c.rsm_tag) for c in enumerate_maximal_communities(eeg)]
+    rows = [[str(i) if labels is None else labels[i] for i in sorted(c.members)] for c in found]
+    doc = {"epsilon": epsilon, "rsm": 'tag "q"', "communities": rows}
+    assert communities_to_json(found, labels) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_csv_output():

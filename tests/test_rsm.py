@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
 from rsmc import (
     DimensionMismatchError,
@@ -22,6 +23,7 @@ from rsmc import (
     check_scaling,
     erf_matrix,
     load_builtin_dataset,
+    refine,
     rsm_from_csv,
     rsm_from_json,
     rsm_to_csv,
@@ -29,7 +31,7 @@ from rsmc import (
     sdf_matrix,
     validate_rsm,
 )
-from rsmc.graph import connected_components, scale_weights
+from rsmc.graph import connected_components, edge_csr, scale_weights
 from rsmc.rsm import (
     Violation,
     _separations_by_cut_vertex,
@@ -90,6 +92,32 @@ def test_sdf_directed_asymmetry():
     m = sdf_matrix(g)
     assert m.values[0, 1] == 3.0
     assert math.isinf(m.values[1, 0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000))
+def test_sdf_bitwise_symmetric_on_undirected_graphs(seed):
+    rng = np.random.RandomState(seed)
+    vals = sdf_matrix(random_graph(rng, n_max=16)).values
+    assert (vals == vals.T).all()
+
+
+#: Dijkstra from 3 and from 5 add the weights of the same path 3-0-4-5 in
+#: opposite orders and differ in the last bit.
+_ASYMMETRIC_SUMS = Graph(6, (
+    (0, 1, 0.33951724506306336), (0, 2, 0.8401364447887634), (0, 3, 0.7472977955440663),
+    (0, 4, 0.9830755360597099), (1, 2, 0.821692520846477), (2, 3, 0.9379155843830395),
+    (2, 4, 0.7588055760909047), (4, 5, 0.9753659324406595),
+), directed=False)
+
+
+def test_sdf_takes_the_smaller_direction_and_refine_keeps_the_pair():
+    raw = dijkstra(edge_csr(_ASYMMETRIC_SUMS), directed=False)
+    assert raw[3, 5] != raw[5, 3]
+    vals = sdf_matrix(_ASYMMETRIC_SUMS).values
+    assert vals[3, 5] == vals[5, 3] == min(raw[3, 5], raw[5, 3]) == 2.6720870929146034
+    pairs = refine(sdf_matrix(_ASYMMETRIC_SUMS), 2.6720870929146034, 0.0).edges.tolist()
+    assert [3, 5] in pairs
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +276,51 @@ def test_erf_finds_components_once(monkeypatch):
                         lambda g: calls.append(g) or connected_components(g))
     erf_matrix(_four_components())
     assert len(calls) == 1
+
+
+def test_erf_solves_no_isolated_vertex(monkeypatch):
+    calls = []
+    monkeypatch.setattr("rsmc.rsm.laplacian_pseudoinverse",
+                        lambda g: calls.append(g.vertex_count) or laplacian_pseudoinverse(g))
+    # a 2-edge path on 2, 5 and 3, an edge {0, 6}, vertices 1 and 4 alone
+    g = Graph(7, ((2, 5, 2.0), (3, 5, 0.5), (0, 6, 4.0)), directed=False)
+    vals = erf_matrix(g).values
+    assert sorted(calls) == [2, 3]
+    assert (np.diag(vals) == 0.0).all()
+    assert vals[2, 3] == vals[3, 2] == pytest.approx(2.5, abs=1e-12)
+    assert vals[0, 6] == pytest.approx(4.0, abs=1e-12)
+    finite = {(i, j) for i, j in zip(*np.nonzero(np.isfinite(vals)))}
+    assert finite == {(i, i) for i in range(7)} | {
+        (a, b) for part in ({2, 3, 5}, {0, 6}) for a in part for b in part}
+    assert erf_matrix(Graph(1, (), directed=False)).values.tolist() == [[0.0]]
+    assert erf_matrix(Graph(3, (), directed=False)).values.tolist() == [
+        [0.0, math.inf, math.inf], [math.inf, 0.0, math.inf], [math.inf, math.inf, 0.0]]
+    assert sorted(calls) == [2, 3]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_erf_bytes_do_not_depend_on_the_row_blocks(monkeypatch, rows):
+    g = random_connected_graph(np.random.RandomState(11), n_max=12)
+    whole = erf_matrix(g).values
+    monkeypatch.setattr("rsmc.rsm._BLOCK_BYTES", 8 * g.vertex_count * rows)
+    assert erf_matrix(g).values.tobytes() == whole.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_erf_with_isolated_vertices_equals_erf_without(seed):
+    # isolated vertices interleaved with the others leave every entry unchanged
+    rng = np.random.RandomState(seed)
+    g = random_graph(rng, n_max=10)
+    spread = 2 * np.arange(g.vertex_count) + 1
+    padded = Graph(2 * g.vertex_count + 1,
+                   tuple((int(spread[s]), int(spread[d]), w) for s, d, w in g.edges),
+                   directed=False)
+    vals = erf_matrix(padded).values
+    assert vals[np.ix_(spread, spread)].tobytes() == erf_matrix(g).values.tobytes()
+    alone = np.arange(0, padded.vertex_count, 2)
+    assert (vals[alone, alone] == 0.0).all()
+    assert np.isinf(vals[alone][:, spread]).all()
 
 
 def test_erf_logs_one_debug_line_per_component(caplog):
@@ -583,6 +656,49 @@ def test_matrix_construction_errors():
 
 def test_matrix_is_frozen():
     m = sdf_matrix(path_graph(3))
+    with pytest.raises(ValueError):
+        m.values[0, 1] = 7.0
+
+
+def test_matrix_copies_a_writeable_array_and_refuses_writes():
+    vals = np.array([[0.0, 1.0], [1.0, 0.0]])
+    m = RsmMatrix(vals, "external")
+    assert not np.shares_memory(m.values, vals)
+    vals[0, 1] = 5.0
+    assert m.values[0, 1] == 1.0
+    with pytest.raises(ValueError):
+        m.values[0, 1] = 7.0
+    for other in ([[0, 1], [1, 0]], np.array([[0, 1], [1, 0]]),
+                  np.array([[0, 1], [1, 0]], dtype=np.float32)):
+        m = RsmMatrix(other, "external")
+        assert m.values.dtype == np.float64 and not m.values.flags.writeable
+    frozen = np.array([[0.0, 2.0], [2.0, 0.0]])
+    frozen.setflags(write=False)
+    assert RsmMatrix(frozen, "external").values is frozen
+    # a read-only subclass, whose indexing may differ, becomes a plain copy
+    sub = frozen.view(type("Sub", (np.ndarray,), {}))
+    assert type(RsmMatrix(sub, "external").values) is np.ndarray
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sdf_matrix(path_graph(3)),
+    lambda: sdf_matrix(Graph(2, ((0, 1, 1.0),), directed=True)),
+    lambda: erf_matrix(path_graph(3)),
+    lambda: erf_matrix(Graph(3, ((0, 1, 1.0),), directed=False)),
+    lambda: rsm_from_csv("0,1\n1,0\n"),
+    lambda: rsm_from_json('{"values": [[0, 1], [1, 0]]}'),
+])
+def test_built_matrices_refuse_writes_and_are_not_copied(monkeypatch, build):
+    given_writeable = []
+    check = RsmMatrix.__post_init__
+
+    def spy(self):
+        given_writeable.append(self.values.flags.writeable)
+        check(self)
+
+    monkeypatch.setattr(RsmMatrix, "__post_init__", spy)
+    m = build()
+    assert given_writeable == [False]  # handed over read-only, so kept as it is
     with pytest.raises(ValueError):
         m.values[0, 1] = 7.0
 
