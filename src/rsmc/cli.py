@@ -107,7 +107,10 @@ class PipelineResult:
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _load_matrix_file(path: str) -> RsmMatrix:
@@ -245,7 +248,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         counts = count_maximal_communities(m, sweep, cfg.tol)
         lines = ["epsilon,communities"] + [f"{eps:g},{c}" for eps, c in zip(sweep, counts)]
         _write_out("\n".join(lines) + "\n", args.out)
-        edges = f", {len(g.edges)} edges" if g is not None else ""
+        edges = f", {len(g.weights)} edges" if g is not None else ""
         print(
             f"{m.source_rsm} rsm on {m.n} vertices{edges} -> {min(counts)} to {max(counts)} "
             f"maximal communities over {len(sweep)} epsilons (tol={cfg.tol:g}) "
@@ -263,7 +266,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     else:
         doc = communities_to_json(result.communities, result.labels)
     _write_out(doc, args.out)
-    edge_count = len(result.graph.edges) if result.graph is not None else len(result.eeg.edges)
+    edge_count = len(result.graph.weights) if result.graph is not None else len(result.eeg.edges)
     print(
         f"{result.matrix.source_rsm} rsm on {result.matrix.n} vertices, "
         f"{edge_count} edges -> {result.community_count} maximal communities "
@@ -321,7 +324,7 @@ def cmd_validate_similarity(args: argparse.Namespace) -> int:
 def cmd_datasets(args: argparse.Namespace) -> int:
     for name in builtin_dataset_names():
         g = load_builtin_dataset(name)
-        print(f"{name}\t{g.vertex_count} vertices, {len(g.edges)} edges")
+        print(f"{name}\t{g.vertex_count} vertices, {len(g.weights)} edges")
     return 0
 
 

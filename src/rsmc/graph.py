@@ -25,11 +25,12 @@ Edge = tuple[int, int, float]
 class Graph:
     """Immutable weighted graph without multi-edges or self-loops.
 
-    Edge weights are strictly positive finite reals (weight zero is reserved
-    for a vertex's relation to itself and never appears on an edge). For an
-    undirected graph every edge is stored canonically as (min, max); the edge
-    tuple is kept sorted so equal graphs compare equal regardless of the
-    order edges were supplied in.
+    ``edges`` comes as (src, dst, weight) triples or an (m, 3) array of
+    whole-number vertex indices in range and strictly positive finite weights
+    (zero is reserved for a vertex's relation to itself). Edges are kept sorted
+    by (src, dst), src < dst when undirected, so equal graphs compare equal: as
+    ``edges``, a tuple of (int, int, float), and as read-only ``src``, ``dst``
+    (intp) and ``weights`` (float64) arrays.
     """
 
     vertex_count: int
@@ -37,43 +38,70 @@ class Graph:
     directed: bool
     labels: tuple[str, ...] | None = None
     self_loops_dropped: int = field(default=0, compare=False)
+    src: np.ndarray = field(init=False, compare=False, repr=False)
+    dst: np.ndarray = field(init=False, compare=False, repr=False)
+    weights: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.vertex_count, int) or self.vertex_count < 1:
+        n = self.vertex_count
+        if not isinstance(n, int) or n < 1:
             raise ValueError("vertex_count must be a positive integer")
-        if self.labels is None:
-            labels = tuple(str(v) for v in range(self.vertex_count))
-        else:
-            labels = tuple(str(x) for x in self.labels)
-            if len(labels) != self.vertex_count:
-                raise ValueError(
-                    f"got {len(labels)} labels for {self.vertex_count} vertices"
-                )
+        labels = tuple(map(str, range(n) if self.labels is None else self.labels))
+        if len(labels) != n:
+            raise ValueError(f"got {len(labels)} labels for {n} vertices")
         object.__setattr__(self, "labels", labels)
+        columns = _canonical_arrays(self.edges, n, self.directed)
+        for name, column in zip(("src", "dst", "weights"), columns):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "edges", tuple(zip(*(column.tolist() for column in columns))))
 
-        canonical: list[Edge] = []
-        seen: set[tuple[int, int]] = set()
-        for src, dst, weight in self.edges:
-            src, dst, weight = int(src), int(dst), float(weight)
-            for v in (src, dst):
-                if not 0 <= v < self.vertex_count:
-                    raise ValueError(f"vertex index {v} out of range")
-            if src == dst:
-                raise ValueError(f"self-loop on vertex {src} is not representable")
-            if not math.isfinite(weight) or weight < 0:
-                raise WeightError(f"edge ({src}, {dst}) has invalid weight {weight}")
-            if weight == 0:
-                raise WeightError(
-                    f"edge ({src}, {dst}) has weight 0; zero is reserved for self-relations"
-                )
-            if not self.directed and src > dst:
-                src, dst = dst, src
-            if (src, dst) in seen:
-                raise DuplicateEdgeError(f"duplicate edge ({src}, {dst})")
-            seen.add((src, dst))
-            canonical.append((src, dst, weight))
-        canonical.sort()
-        object.__setattr__(self, "edges", tuple(canonical))
+
+def _canonical_arrays(edges, n: int, directed: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check edges as one float array and sort them; the first bad edge raises in ``_check_edge``."""
+    try:
+        arr = np.asarray(edges, dtype=float).reshape(len(edges), 3)
+    except (TypeError, ValueError, OverflowError):
+        for k, edge in enumerate(edges):  # raise at the first edge not three floats, or before
+            try:
+                np.asarray(edge, dtype=float).reshape(3)
+            except (TypeError, ValueError, OverflowError):
+                _canonical_arrays(edges[:k], n, directed)
+                _check_edge(edge, n, directed)
+        raise
+    s, d, w = arr.T
+    ok = (s != d) & np.isfinite(w) & (w > 0)
+    for v in (s, d):
+        ok &= (v >= 0) & (v < n) & (np.floor(v) == v)
+    stop = len(ok) if ok.all() else int(np.argmin(ok))
+    src, dst = s[:stop].astype(np.intp), d[:stop].astype(np.intp)
+    if not directed:
+        src, dst = np.minimum(src, dst), np.maximum(src, dst)
+    order = np.lexsort((dst, src))  # stable: a repeated pair's later copies sort after it
+    src, dst = src[order], dst[order]
+    first = order[1:][(src[1:] == src[:-1]) & (dst[1:] == dst[:-1])].min(initial=stop)
+    if first < len(ok):
+        a, b = _check_edge(edges[first], n, directed)  # raises unless the edge is a duplicate
+        raise DuplicateEdgeError(f"duplicate edge ({a}, {b})")
+    return src, dst, w[order]
+
+
+def _check_edge(edge, n: int, directed: bool) -> tuple[int, int]:
+    """Raise the error one input edge gets on its own, or return its canonical pair."""
+    s, d, weight = edge
+    src, dst, weight = int(s), int(d), float(weight)
+    for v, given in ((src, s), (dst, d)):
+        if not 0 <= v < n:
+            raise ValueError(f"vertex index {v} out of range")
+        if float(given) != v:
+            raise ValueError(f"edge ({float(s)!r}, {float(d)!r}): vertex index not a whole number")
+    if src == dst:
+        raise ValueError(f"self-loop on vertex {src} is not representable")
+    if not math.isfinite(weight) or weight < 0:
+        raise WeightError(f"edge ({src}, {dst}) has invalid weight {weight}")
+    if weight == 0:
+        raise WeightError(f"edge ({src}, {dst}) has weight 0; zero is reserved for self-relations")
+    return (src, dst) if directed or src < dst else (dst, src)
 
 
 @dataclass(frozen=True)
@@ -88,22 +116,14 @@ class ComponentPartition:
 
     def components(self) -> list[list[int]]:
         """Vertex lists per component id, each sorted ascending."""
-        groups: list[list[int]] = [[] for _ in range(self.component_count)]
-        for v, cid in enumerate(self.assignment):
-            groups[cid].append(v)
-        return groups
-
-
-def edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Source indices, destination indices and weights of the edges, in edge order."""
-    edges = np.array(g.edges, dtype=float).reshape(-1, 3)
-    return edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp), edges[:, 2]
+        labels = np.asarray(self.assignment)
+        ends = np.cumsum(np.bincount(labels, minlength=self.component_count))
+        return [part.tolist() for part in np.split(np.argsort(labels, kind="stable"), ends[:-1])]
 
 
 def edge_csr(g: Graph) -> csr_matrix:
     """The weighted adjacency matrix, one stored entry per edge as (src, dst)."""
-    src, dst, w = edge_arrays(g)
-    return csr_matrix((w, (src, dst)), shape=(g.vertex_count, g.vertex_count))
+    return csr_matrix((g.weights, (g.src, g.dst)), shape=(g.vertex_count, g.vertex_count))
 
 
 def connected_components(g: Graph) -> ComponentPartition:
@@ -131,40 +151,28 @@ def parse_edge_list(text: str, directed: bool = False) -> Graph:
     WeightError, and anything else malformed raises ParseError carrying the
     line number.
     """
-    index_of: dict[str, int] = {}
-    order: list[str] = []
+    index_of: dict[str, int] = {}  # in order of first appearance
     edges: list[Edge] = []
     seen_pairs: set[tuple[int, int]] = set()
     dropped = 0
-
-    def intern(token: str) -> int:
-        if token not in index_of:
-            index_of[token] = len(order)
-            order.append(token)
-        return index_of[token]
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         if len(tokens) == 1:
-            intern(tokens[0])
+            index_of.setdefault(tokens[0], len(index_of))
             continue
         if len(tokens) > 3:
             raise ParseError(f"expected at most 3 fields, got {len(tokens)}", lineno)
         src_tok, dst_tok = tokens[0], tokens[1]
-        if len(tokens) == 3:
-            try:
-                weight = float(tokens[2])
-            except ValueError:
-                raise ParseError(f"bad weight {tokens[2]!r}", lineno) from None
-            if math.isnan(weight):
-                raise ParseError(f"bad weight {tokens[2]!r}", lineno)
-        else:
-            weight = 1.0
-        src = intern(src_tok)
-        dst = intern(dst_tok)
+        try:
+            weight = float(tokens[2]) if len(tokens) == 3 else 1.0
+        except ValueError:
+            weight = math.nan
+        if math.isnan(weight):
+            raise ParseError(f"bad weight {tokens[2]!r}", lineno)
+        src = index_of.setdefault(src_tok, len(index_of))
+        dst = index_of.setdefault(dst_tok, len(index_of))
         if src == dst:
             dropped += 1
             continue
@@ -174,23 +182,16 @@ def parse_edge_list(text: str, directed: bool = False) -> Graph:
             raise WeightError(f"line {lineno}: weight 0 on edge {src_tok!r} -> {dst_tok!r}")
         a, b = (src, dst) if directed or src < dst else (dst, src)
         if (a, b) in seen_pairs:
-            raise DuplicateEdgeError(
-                f"line {lineno}: duplicate edge {src_tok!r} -> {dst_tok!r}"
-            )
+            raise DuplicateEdgeError(f"line {lineno}: duplicate edge {src_tok!r} -> {dst_tok!r}")
         seen_pairs.add((a, b))
         edges.append((src, dst, weight))
 
-    if not order:
+    if not index_of:
         raise ParseError("no vertices found")
     if dropped:
         log.warning("dropped %d self-loop(s) while parsing", dropped)
-    return Graph(
-        vertex_count=len(order),
-        edges=tuple(edges),
-        directed=directed,
-        labels=tuple(order),
-        self_loops_dropped=dropped,
-    )
+    return Graph(vertex_count=len(index_of), edges=edges, directed=directed,
+                 labels=tuple(index_of), self_loops_dropped=dropped)
 
 
 def serialize_edge_list(g: Graph) -> str:
@@ -209,9 +210,7 @@ def serialize_edge_list(g: Graph) -> str:
         if label.split() != [label] or label.startswith("#") or label in seen:
             raise LabelError(f"vertex label {label!r} cannot be written to an edge list")
         seen.add(label)
-    lines = list(labels)
-    for src, dst, weight in g.edges:
-        lines.append(f"{labels[src]}\t{labels[dst]}\t{weight!r}")
+    lines = list(labels) + [f"{labels[s]}\t{labels[d]}\t{w!r}" for s, d, w in g.edges]
     return "\n".join(lines) + "\n"
 
 
@@ -220,9 +219,7 @@ def scale_weights(g: Graph, alpha: float) -> Graph:
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha <= 0:
         raise ValueError(f"alpha must be a positive finite real, got {alpha}")
-    return Graph(
-        vertex_count=g.vertex_count,
-        edges=tuple((s, d, w * alpha) for s, d, w in g.edges),
-        directed=g.directed,
-        labels=g.labels,
-    )
+    with np.errstate(over="ignore"):  # an overflowed weight is inf, which Graph rejects
+        scaled = g.weights * alpha
+    return Graph(vertex_count=g.vertex_count, edges=np.column_stack((g.src, g.dst, scaled)),
+                 directed=g.directed, labels=g.labels)

@@ -34,7 +34,7 @@ from .errors import (
     SingularityError,
     ThresholdError,
 )
-from .graph import Graph, connected_components, edge_arrays, edge_csr
+from .graph import Graph, connected_components, edge_csr
 
 log = logging.getLogger(__name__)
 
@@ -120,8 +120,7 @@ def laplacian(g: Graph) -> np.ndarray:
     """
     if g.directed:
         raise DirectedInputError("Laplacian is defined for undirected graphs only")
-    n = g.vertex_count
-    src, dst, w = edge_arrays(g)
+    n, src, dst, w = g.vertex_count, g.src, g.dst, g.weights
     lap = np.zeros((n, n))
     lap[src, dst] = lap[dst, src] = -w
     # edges are sorted with src < dst, so listing each vertex's edges as dst
@@ -149,9 +148,8 @@ def laplacian_pseudoinverse(component: Graph) -> np.ndarray:
     if component.directed:
         raise DirectedInputError("pseudoinverse is defined for undirected graphs only")
     started = time.perf_counter()
-    n = component.vertex_count
+    n, src, dst, w = component.vertex_count, component.src, component.dst, component.weights
     a = laplacian(component)
-    src, dst, w = edge_arrays(component)
     scale = math.ldexp(1.0, math.frexp(w.max())[1] - 1) if w.size else 1.0
     if scale != 1.0:  # dividing by 1.0 changes nothing
         a /= scale
@@ -212,10 +210,9 @@ def erf_matrix(g: Graph) -> RsmMatrix:
     """
     if g.directed:
         raise DirectedInputError("effective resistance is defined for undirected graphs only")
-    n = g.vertex_count
-    src, dst, w = edge_arrays(g)
+    n, src, dst = g.vertex_count, g.src, g.dst
     with np.errstate(divide="ignore", over="ignore"):
-        conductance = 1.0 / w
+        conductance = 1.0 / g.weights
     too_small = np.flatnonzero(~np.isfinite(conductance))
     if too_small.size:
         s, d, weight = g.edges[too_small[0]]
@@ -231,12 +228,13 @@ def erf_matrix(g: Graph) -> RsmMatrix:
     else:
         values = np.full((n, n), np.inf)
         np.fill_diagonal(values, 0.0)  # all an isolated vertex needs
+    local = np.empty(n, dtype=np.intp)  # each vertex's index within its component
     for comp, edges in zip(partition.components(), comp_edges):
         if len(comp) == 1:
             continue
-        local = zip(np.searchsorted(comp, src[edges]).tolist(),
-                    np.searchsorted(comp, dst[edges]).tolist(), conductance[edges].tolist())
-        pinv = laplacian_pseudoinverse(Graph(len(comp), tuple(local), directed=False))
+        local[comp] = np.arange(len(comp))
+        rows = np.column_stack((local[src[edges]], local[dst[edges]], conductance[edges]))
+        pinv = laplacian_pseudoinverse(Graph(len(comp), rows, directed=False))
         _resistances_in_place(pinv)
         if values is None:
             values = pinv  # one component holds every vertex, in order

@@ -6,6 +6,7 @@ pseudoinverse instead of the shifted-inverse identity, plain double loops
 instead of vectorized table lookups and thresholding, an edge loop instead
 of scattered Laplacian entries, vertex-by-vertex removal instead of
 low-links, a breadth-first search instead of scipy's component labelling,
+a loop over edges instead of array checks on a Graph's edges,
 every vertex subset instead of a pivoted clique search, a triple loop over
 Python floats instead of blocked array minima, and ``json.dumps`` instead of
 string building. Deliberately slow and simple.
@@ -175,6 +176,47 @@ def triangle_breaks_oracle(vals, tol: float) -> list[tuple[int, int, int, float]
             if math.isfinite(rows[i][j]) and not rows[i][j] <= best + tol:
                 found.append((i, via, j, rows[i][j] - best))
     return found
+
+
+class WeightError(Exception):
+    """Raised by ``loop_graph_edges`` where rsmc raises its ``WeightError``."""
+
+
+class DuplicateEdgeError(Exception):
+    """Raised by ``loop_graph_edges`` where rsmc raises its ``DuplicateEdgeError``."""
+
+
+def loop_graph_edges(n: int, edges, directed: bool) -> tuple:
+    """The canonical edge tuple of a Graph, checked and canonicalised one edge at a time.
+
+    This is the loop ``Graph.__post_init__`` once ran, kept as it was: the
+    first bad edge raises ValueError, WeightError or DuplicateEdgeError (the
+    two latter defined here, so tests compare exception names and messages).
+    It truncates a vertex index that is not a whole number.
+    """
+    canonical = []
+    seen = set()
+    for src, dst, weight in edges:
+        src, dst, weight = int(src), int(dst), float(weight)
+        for v in (src, dst):
+            if not 0 <= v < n:
+                raise ValueError(f"vertex index {v} out of range")
+        if src == dst:
+            raise ValueError(f"self-loop on vertex {src} is not representable")
+        if not math.isfinite(weight) or weight < 0:
+            raise WeightError(f"edge ({src}, {dst}) has invalid weight {weight}")
+        if weight == 0:
+            raise WeightError(
+                f"edge ({src}, {dst}) has weight 0; zero is reserved for self-relations"
+            )
+        if not directed and src > dst:
+            src, dst = dst, src
+        if (src, dst) in seen:
+            raise DuplicateEdgeError(f"duplicate edge ({src}, {dst})")
+        seen.add((src, dst))
+        canonical.append((src, dst, weight))
+    canonical.sort()
+    return tuple(canonical)
 
 
 def _adjacency_sets(g) -> list[set[int]]:

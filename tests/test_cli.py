@@ -380,6 +380,26 @@ def test_input_error_exits(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["detect", "--input", "{f}", "--rsm", "sdf", "--epsilon", "1"],
+    ["detect", "--matrix", "{f}", "--epsilon", "1"],
+    ["detect", "--similarity-spec", "{f}", "--epsilon", "1"],
+    ["matrix", "--input", "{f}", "--rsm", "erf"],
+    ["validate-rsm", "--matrix", "{f}"],
+    ["validate-rsm", "--matrix", "{m}", "--input", "{f}"],
+    ["validate-similarity", "--spec", "{f}"],
+])
+def test_non_utf8_file_exits_2(tmp_path, capsys, argv):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"a\tb\t1\n\xff\tc\n")
+    good = tmp_path / "m.csv"
+    good.write_text("0,1\n1,0\n")
+    assert main([a.format(f=bad, m=good) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(bad) in err and "UTF-8" in err
+
+
 def test_numerical_error_exits_3(tmp_path, capsys):
     p = tmp_path / "illcond.tsv"
     p.write_text("a\tb\t1e15\nb\tc\t1e-15\nc\td\t1e15\nd\te\t1e-15\n")

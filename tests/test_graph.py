@@ -1,9 +1,10 @@
 """Edge-list parsing, graph invariants, components, serialization."""
 
+import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -20,7 +21,7 @@ from rsmc import (
 from rsmc.graph import connected_components, scale_weights
 
 from graphgen import random_graph
-from oracles import bfs_components
+from oracles import bfs_components, loop_graph_edges
 
 
 def test_parse_basic_two_edges():
@@ -114,6 +115,90 @@ def test_graph_rejects_bad_construction():
         Graph(vertex_count=2, edges=((0, 1, 1.0), (1, 0, 2.0)), directed=False)
 
 
+def test_graph_rejects_non_integral_vertex_index():
+    for edges in (((0.5, 1, 1.0),), np.array([[0.0, 1.5, 1.0]])):
+        with pytest.raises(ValueError, match=r"edge \(0\.\d, 1\.\d\).*not a whole number"):
+            Graph(2, edges, False)
+    with pytest.raises(ValueError, match="not a whole number"):
+        Graph(3, ((0, 1, 1.0), (1, 2, 1.0), (-0.25, 1, 1.0)), True)
+
+
+def test_graph_keeps_read_only_canonical_arrays():
+    g = Graph(4, ((3, 1, 2.0), (0, 2, 0.5), (1, 0, 1.0)), False)
+    assert g.edges == ((0, 1, 1.0), (0, 2, 0.5), (1, 3, 2.0))
+    assert g.src.tolist() == [0, 0, 1] and g.dst.tolist() == [1, 2, 3]
+    assert g.weights.tolist() == [1.0, 0.5, 2.0]
+    with pytest.raises(ValueError):
+        g.weights[0] = 5.0
+    from_array = Graph(4, np.array([[1, 0, 1.0], [3, 1, 2.0], [2, 0, 0.5]]), False)
+    assert from_array == g and hash(from_array) == hash(g)
+    assert all(type(x) is t for e in from_array.edges for x, t in zip(e, (int, int, float)))
+    assert Graph(2, np.empty((0, 3)), True).edges == ()
+
+
+_BAD_INDICES = (-1, -3, 6, 2**53 + 1, 2**64, 10**400, math.nan, math.inf, -math.inf)
+_BAD_WEIGHTS = (0.0, -0.0, -1.0, -1e-300, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def _edge_input(draw):
+    """(n, edges, directed): mostly valid edges with a few duplicates, self-loops and bad values."""
+    n = draw(st.integers(1, 6))
+    directed = draw(st.booleans())
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] != p[1]), unique=True, max_size=10))
+    edges = [(s, d, draw(st.floats(1e-3, 1e3))) for s, d in pairs]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["duplicate", "self-loop", "index", "weight"]))
+        if not edges:
+            break
+        k = draw(st.integers(0, len(edges) - 1))
+        s, d, w = edges[k]
+        if kind == "duplicate":
+            copy = (d, s) if draw(st.booleans()) else (s, d)
+            edges.insert(draw(st.integers(0, len(edges))), (*copy, draw(st.floats(1e-3, 1e3))))
+        elif kind == "self-loop":
+            edges[k] = (s, s, w)
+        elif kind == "index":
+            bad = draw(st.sampled_from(_BAD_INDICES))
+            edges[k] = (bad, d, w) if draw(st.booleans()) else (s, bad, w)
+        else:
+            edges[k] = (s, d, draw(st.sampled_from(_BAD_WEIGHTS)))
+    form = draw(st.sampled_from(["tuple", "list", "array"]))
+    if form == "array":
+        try:
+            return n, np.array(edges, dtype=float).reshape(-1, 3), directed
+        except OverflowError:  # 10**400 has no float; keep the triples
+            pass
+    return n, (tuple(edges) if form == "tuple" else edges), directed
+
+
+def _outcome(build):
+    try:
+        return "built", build()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edge_input())
+# an edge floats cannot hold, after and before a duplicate
+@example((3, ((0, 1, 1.0), (1, 0, 2.0), (10**400, 1, 1.0)), False))
+@example((3, [(0, 1, 1.0), (2, 1, 1.0), (0, 1, 1.0), (1, 2)], True))
+@example((3, ((0, 1, 1.0), (1, "x", 1.0), (1, 0, 1.0)), False))
+def test_graph_validation_matches_edge_loop_oracle(case):
+    n, edges, directed = case
+    expected = _outcome(lambda: loop_graph_edges(n, edges, directed))
+    assert _outcome(lambda: Graph(n, edges, directed).edges) == expected
+    if expected[0] != "built":
+        return
+    g = Graph(n, edges, directed)
+    for arr, dtype in ((g.src, np.intp), (g.dst, np.intp), (g.weights, np.float64)):
+        assert arr.dtype == dtype and arr.shape == (len(g.edges),)
+        assert not arr.flags.writeable
+    assert tuple(zip(g.src.tolist(), g.dst.tolist(), g.weights.tolist())) == g.edges
+
+
 def test_components_trivial_cases():
     assert connected_components(Graph(3, (), False)).component_count == 3
     path = Graph(3, ((0, 1, 1.0), (1, 2, 1.0)), False)
@@ -153,6 +238,10 @@ def test_components_match_bfs_oracle(seed, directed):
     assert (part.assignment, part.component_count) == bfs_components(g)
     assert all(type(c) is int for c in part.assignment)
     assert type(part.component_count) is int
+    groups = part.components()
+    assert groups == [[v for v in range(n) if part.assignment[v] == c]
+                      for c in range(part.component_count)]
+    assert all(type(v) is int for group in groups for v in group)
 
 
 @settings(max_examples=60, deadline=None)
