@@ -10,7 +10,6 @@ from .cli import PipelineConfig, PipelineResult, run_pipeline
 from .community import (
     Community,
     EffectiveEdgeGraph,
-    brute_force_maximal_communities,
     communities_to_csv,
     communities_to_dot,
     communities_to_json,
@@ -32,9 +31,7 @@ from .errors import (
     RsmcError,
     SingularityError,
     ThresholdError,
-    TooLargeError,
     UnknownDatasetError,
-    UnknownVertexError,
     WeightError,
 )
 from .graph import Graph, parse_edge_list, serialize_edge_list
@@ -42,7 +39,6 @@ from .rsm import (
     RsmMatrix,
     RsmValidationReport,
     Violation,
-    check_scaling,
     erf_matrix,
     rsm_from_csv,
     rsm_from_json,
@@ -87,14 +83,10 @@ __all__ = [
     "SingularityError",
     "TableReport",
     "ThresholdError",
-    "TooLargeError",
     "UnknownDatasetError",
-    "UnknownVertexError",
     "Violation",
     "WeightError",
-    "brute_force_maximal_communities",
     "builtin_dataset_names",
-    "check_scaling",
     "combine_similarities",
     "communities_to_csv",
     "communities_to_dot",

@@ -106,7 +106,8 @@ class PipelineResult:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise start the first token
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:

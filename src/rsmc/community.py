@@ -13,19 +13,13 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import (
-    NegativeEpsilonError,
-    ThresholdError,
-    TooLargeError,
-    UnknownVertexError,
-)
+from .errors import NegativeEpsilonError, ThresholdError
 from .rsm import RsmMatrix
 
 log = logging.getLogger(__name__)
@@ -124,19 +118,6 @@ def refine(m: RsmMatrix, epsilon: float, tol: float = REFINE_TOL) -> EffectiveEd
     )
 
 
-def is_community(members: Iterable[int], eeg: EffectiveEdgeGraph) -> bool:
-    """True iff the induced subgraph on ``members`` is complete.
-
-    The empty set and singletons count as communities.
-    """
-    ms = sorted({int(v) for v in members})
-    for v in ms:
-        if not 0 <= v < eeg.vertex_count:
-            raise UnknownVertexError(f"vertex {v} not in graph of size {eeg.vertex_count}")
-    pairs = set(map(tuple, eeg.edges.tolist()))
-    return all(pair in pairs for pair in combinations(ms, 2))
-
-
 def _bits(s: int) -> Iterator[int]:
     """Indices of the set bits of s, ascending."""
     while s:
@@ -228,14 +209,6 @@ def _component_cliques(n: int, edges: np.ndarray
     return labels, sizes, searched
 
 
-def _canonical(cliques: Iterable[tuple[int, ...]], eeg: EffectiveEdgeGraph) -> list[Community]:
-    """Communities from cliques given as ascending member tuples, in lexicographic order."""
-    return [
-        Community(members=frozenset(c), epsilon=eeg.epsilon, rsm_tag=eeg.rsm_tag)
-        for c in sorted(cliques)
-    ]
-
-
 def enumerate_maximal_communities(eeg: EffectiveEdgeGraph) -> list[Community]:
     """All maximal communities of an effective edge graph.
 
@@ -257,7 +230,10 @@ def enumerate_maximal_communities(eeg: EffectiveEdgeGraph) -> list[Community]:
     for vertices, cliques in searched:
         local = vertices.tolist()
         found += [tuple(local[i] for i in _bits(c)) for c in cliques]
-    return _canonical(found, eeg)
+    return [
+        Community(members=frozenset(c), epsilon=eeg.epsilon, rsm_tag=eeg.rsm_tag)
+        for c in sorted(found)
+    ]
 
 
 def count_maximal_communities(m: RsmMatrix, epsilons: Iterable[float],
@@ -297,39 +273,6 @@ def count_maximal_communities(m: RsmMatrix, epsilons: Iterable[float],
         )
         counts.append(found)
     return counts
-
-
-def brute_force_maximal_communities(eeg: EffectiveEdgeGraph) -> list[Community]:
-    """Exhaustive-subset reference implementation of maximal-community search.
-
-    Checks every nonempty vertex subset for completeness and keeps the ones
-    no single vertex can extend (extension by one vertex is enough: adding v
-    keeps a community a community iff v is adjacent to every member).
-    Intended as a test oracle; refuses graphs with more than 20 vertices.
-    """
-    n = eeg.vertex_count
-    if n > 20:
-        raise TooLargeError(f"exhaustive search over {n} vertices (limit 20)")
-    adj_bits = [0] * n
-    for u, v in eeg.edges.tolist():
-        adj_bits[u] |= 1 << v
-        adj_bits[v] |= 1 << u
-    complete = np.zeros(1 << n, dtype=bool)
-    complete[0] = True
-    for s in range(1, 1 << n):
-        v = (s & -s).bit_length() - 1
-        rest = s & (s - 1)
-        complete[s] = complete[rest] and (rest & ~adj_bits[v]) == 0
-    found = []
-    for s in range(1, 1 << n):
-        if not complete[s]:
-            continue
-        extendable = any(
-            not (s >> v) & 1 and (s & ~adj_bits[v]) == 0 for v in range(n)
-        )
-        if not extendable:
-            found.append(tuple(_bits(s)))
-    return _canonical(found, eeg)
 
 
 # ---------------------------------------------------------------------------

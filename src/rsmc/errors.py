@@ -47,14 +47,6 @@ class ThresholdError(RsmcError, ValueError):
     """A threshold or tolerance (epsilon, tol or their sum) is out of its allowed range."""
 
 
-class UnknownVertexError(RsmcError):
-    """A vertex index is out of range for the graph at hand."""
-
-
-class TooLargeError(RsmcError):
-    """Input exceeds the size cap of an exhaustive operation."""
-
-
 class InvalidSpecError(RsmcError):
     """A similarity specification violates its invariants."""
 

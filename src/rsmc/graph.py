@@ -111,9 +111,6 @@ class ComponentPartition:
     assignment: tuple[int, ...]
     component_count: int
 
-    def same_component(self, u: int, v: int) -> bool:
-        return self.assignment[u] == self.assignment[v]
-
     def components(self) -> list[list[int]]:
         """Vertex lists per component id, each sorted ascending."""
         labels = np.asarray(self.assignment)
@@ -212,14 +209,3 @@ def serialize_edge_list(g: Graph) -> str:
         seen.add(label)
     lines = list(labels) + [f"{labels[s]}\t{labels[d]}\t{w!r}" for s, d, w in g.edges]
     return "\n".join(lines) + "\n"
-
-
-def scale_weights(g: Graph, alpha: float) -> Graph:
-    """Return a copy of the graph with every weight multiplied by alpha > 0."""
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha <= 0:
-        raise ValueError(f"alpha must be a positive finite real, got {alpha}")
-    with np.errstate(over="ignore"):  # an overflowed weight is inf, which Graph rejects
-        scaled = g.weights * alpha
-    return Graph(vertex_count=g.vertex_count, edges=np.column_stack((g.src, g.dst, scaled)),
-                 directed=g.directed, labels=g.labels)

@@ -486,8 +486,7 @@ def validate_rsm(m: RsmMatrix, g: Graph | None = None, tol: float = AXIOM_TOL) -
     inequality over all finite triples together with additivity through every
     cut vertex, and symmetry. The pattern and cut-vertex checks need the
     source graph and are skipped when ``g`` is None; symmetry is skipped for
-    directed graphs. The alpha-scaling axiom involves two matrices and lives
-    in :func:`check_scaling`.
+    directed graphs.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ThresholdError(f"tol must be a positive finite real, got {tol}")
@@ -553,28 +552,6 @@ def validate_rsm(m: RsmMatrix, g: Graph | None = None, tol: float = AXIOM_TOL) -
         symmetry=symmetry,
         violations=tuple(violations),
     )
-
-
-def check_scaling(m: RsmMatrix, m_scaled: RsmMatrix, alpha: float, tol: float = AXIOM_TOL) -> bool:
-    """True iff ``m_scaled`` equals ``alpha * m`` entrywise.
-
-    Finite entries must agree within ``tol`` and the +inf patterns must be
-    identical. ``m_scaled`` is expected to come from the same graph with all
-    weights multiplied by ``alpha``.
-    """
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be a positive finite real, got {alpha}")
-    if m.values.shape != m_scaled.values.shape:
-        raise DimensionMismatchError(
-            f"shape mismatch: {m.values.shape} vs {m_scaled.values.shape}"
-        )
-    inf_a = np.isinf(m.values)
-    inf_b = np.isinf(m_scaled.values)
-    if (inf_a != inf_b).any():
-        return False
-    finite = ~inf_a
-    return bool(np.all(np.abs(m_scaled.values[finite] - alpha * m.values[finite]) <= tol))
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +633,9 @@ def rsm_from_json(text: str) -> RsmMatrix:
         raise ParseError(f"bad matrix JSON: {exc}") from exc
     if not isinstance(doc, dict) or "values" not in doc:
         raise ParseError('matrix JSON must be an object with a "values" key')
+    tag = doc.get("rsm", EXTERNAL_TAG)
+    if not isinstance(tag, str):
+        raise ParseError(f'matrix JSON "rsm" tag must be a string, not {json.dumps(tag)}')
     raw = doc["values"]
     if not isinstance(raw, list) or not raw:
         raise ParseError('"values" must be a nonempty array of rows')
@@ -684,4 +664,4 @@ def rsm_from_json(text: str) -> RsmMatrix:
         raise ParseError("bad matrix entry nan")
     if np.count_nonzero(np.isposinf(values)) != tagged_inf:
         raise ParseError("finite matrix entry too large for a float")
-    return _frozen(values, str(doc.get("rsm", EXTERNAL_TAG)))
+    return _frozen(values, tag)

@@ -223,12 +223,8 @@ def combine_similarities(spec: SimilaritySpec) -> RsmMatrix:
             SimilarityWarning,
             stacklevel=2,
         )
-    collapsed = [
-        (labels[i], labels[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if values[i, j] == 0.0
-    ]
+    rows, cols = np.nonzero(np.triu(values == 0.0, k=1))
+    collapsed = [(labels[i], labels[j]) for i, j in zip(rows.tolist(), cols.tolist())]
     if collapsed:
         warnings.warn(
             f"{len(collapsed)} vertex pair(s) collapse to zero relation strength: {collapsed}",

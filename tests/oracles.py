@@ -10,6 +10,12 @@ a loop over edges instead of array checks on a Graph's edges,
 every vertex subset instead of a pivoted clique search, a triple loop over
 Python floats instead of blocked array minima, and ``json.dumps`` instead of
 string building. Deliberately slow and simple.
+
+It also holds the reference checks that rsmc's pipeline never calls:
+``brute_force_maximal_communities`` (every maximal community by exhaustive
+subset search), ``is_community`` (completeness of one vertex set),
+``scale_weights`` (a graph with every weight multiplied by alpha) and
+``check_scaling`` (the alpha-scaling axiom over two matrices).
 """
 
 from __future__ import annotations
@@ -20,6 +26,9 @@ from collections import deque
 from itertools import combinations
 
 import numpy as np
+
+from rsmc import Community, DimensionMismatchError, Graph
+from rsmc.rsm import AXIOM_TOL
 
 
 def floyd_warshall_distances(g) -> np.ndarray:
@@ -296,3 +305,94 @@ def csv_join_rsm(m) -> str:
     lines = [",".join("inf" if math.isinf(v) else repr(float(v)) for v in row)
              for row in m.values]
     return "\n".join(lines) + "\n"
+
+
+class TooLargeError(Exception):
+    """Raised by ``brute_force_maximal_communities`` above its size cap."""
+
+
+class UnknownVertexError(Exception):
+    """Raised by ``is_community`` for a vertex outside the graph."""
+
+
+def is_community(members, eeg) -> bool:
+    """True iff the induced subgraph on ``members`` is complete.
+
+    The empty set and singletons count as communities.
+    """
+    ms = sorted({int(v) for v in members})
+    for v in ms:
+        if not 0 <= v < eeg.vertex_count:
+            raise UnknownVertexError(f"vertex {v} not in graph of size {eeg.vertex_count}")
+    pairs = set(map(tuple, eeg.edges.tolist()))
+    return all(pair in pairs for pair in combinations(ms, 2))
+
+
+def brute_force_maximal_communities(eeg) -> list[Community]:
+    """Exhaustive-subset reference implementation of maximal-community search.
+
+    Checks every nonempty vertex subset for completeness and keeps the ones
+    no single vertex can extend (extension by one vertex is enough: adding v
+    keeps a community a community iff v is adjacent to every member).
+    Returns communities in the canonical order of
+    ``enumerate_maximal_communities``; refuses graphs with more than 20 vertices.
+    """
+    n = eeg.vertex_count
+    if n > 20:
+        raise TooLargeError(f"exhaustive search over {n} vertices (limit 20)")
+    adj_bits = [0] * n
+    for u, v in eeg.edges.tolist():
+        adj_bits[u] |= 1 << v
+        adj_bits[v] |= 1 << u
+    complete = np.zeros(1 << n, dtype=bool)
+    complete[0] = True
+    for s in range(1, 1 << n):
+        v = (s & -s).bit_length() - 1
+        rest = s & (s - 1)
+        complete[s] = complete[rest] and (rest & ~adj_bits[v]) == 0
+    found = []
+    for s in range(1, 1 << n):
+        if not complete[s]:
+            continue
+        extendable = any(
+            not (s >> v) & 1 and (s & ~adj_bits[v]) == 0 for v in range(n)
+        )
+        if not extendable:
+            found.append(tuple(v for v in range(n) if (s >> v) & 1))
+    return [
+        Community(members=frozenset(c), epsilon=eeg.epsilon, rsm_tag=eeg.rsm_tag)
+        for c in sorted(found)
+    ]
+
+
+def scale_weights(g: Graph, alpha: float) -> Graph:
+    """Return a copy of the graph with every weight multiplied by alpha > 0."""
+    alpha = float(alpha)
+    if not math.isfinite(alpha) or alpha <= 0:
+        raise ValueError(f"alpha must be a positive finite real, got {alpha}")
+    with np.errstate(over="ignore"):  # an overflowed weight is inf, which Graph rejects
+        scaled = g.weights * alpha
+    return Graph(vertex_count=g.vertex_count, edges=np.column_stack((g.src, g.dst, scaled)),
+                 directed=g.directed, labels=g.labels)
+
+
+def check_scaling(m, m_scaled, alpha: float, tol: float = AXIOM_TOL) -> bool:
+    """True iff ``m_scaled`` equals ``alpha * m`` entrywise.
+
+    Finite entries must agree within ``tol`` and the +inf patterns must be
+    identical. ``m_scaled`` is expected to come from the same graph with all
+    weights multiplied by ``alpha``.
+    """
+    alpha = float(alpha)
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be a positive finite real, got {alpha}")
+    if m.values.shape != m_scaled.values.shape:
+        raise DimensionMismatchError(
+            f"shape mismatch: {m.values.shape} vs {m_scaled.values.shape}"
+        )
+    inf_a = np.isinf(m.values)
+    inf_b = np.isinf(m_scaled.values)
+    if (inf_a != inf_b).any():
+        return False
+    finite = ~inf_a
+    return bool(np.all(np.abs(m_scaled.values[finite] - alpha * m.values[finite]) <= tol))

@@ -14,8 +14,6 @@ from rsmc import (
     Graph,
     PipelineConfig,
     RsmMatrix,
-    brute_force_maximal_communities,
-    check_scaling,
     combine_similarities,
     enumerate_maximal_communities,
     erf_matrix,
@@ -26,12 +24,17 @@ from rsmc import (
     sdf_matrix,
     validate_rsm,
 )
-from rsmc.community import is_community
-from rsmc.graph import connected_components, scale_weights
+from rsmc.graph import connected_components
 from rsmc.rsm import laplacian, laplacian_pseudoinverse
 
 from graphgen import barbell, complete_graph, path_graph, random_eeg, random_graph
-from oracles import resistance_matrix_oracle
+from oracles import (
+    brute_force_maximal_communities,
+    check_scaling,
+    is_community,
+    resistance_matrix_oracle,
+    scale_weights,
+)
 
 
 @pytest.fixture

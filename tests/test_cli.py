@@ -285,8 +285,10 @@ def test_validate_rsm_pass_and_fail(path3, tmp_path, capsys):
     ("huge.json", '{"values": [[0, 1' + "0" * 400 + '], [1, 0]]}'),
     ("huge.csv", "0,1e400\n1e400,0\n"),
     ("huge-float.json", '{"values": [[0, 1e400], [1e400, 0]]}'),
+    ("null-tag.json", '{"rsm": null, "values": [[0, 1], [1, 0]]}'),
+    ("object-tag.json", '{"rsm": {"x": [1]}, "values": [[0, 1], [1, 0]]}'),
 ], ids=["csv-minus-inf", "json-minus-infinity", "json-int-overflow", "csv-float-overflow",
-        "json-float-overflow"])
+        "json-float-overflow", "json-null-tag", "json-object-tag"])
 def test_validate_rsm_bad_entry_exits_2(tmp_path, capsys, name, text):
     bad = tmp_path / name
     bad.write_text(text)
@@ -398,6 +400,25 @@ def test_non_utf8_file_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(bad) in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--input", "a\tb\t2\nb\tc\n"),
+    ("--matrix", "0,1,9\n1,0,1\n9,1,0\n"),
+    ("--matrix", '{"rsm": "erf", "values": [[0, 1, 9], [1, 0, 1], [9, 1, 0]]}'),
+    ("--similarity-spec", None),
+], ids=["edge-list", "csv-matrix", "json-matrix", "similarity-spec"])
+def test_byte_order_mark_is_ignored(tmp_path, sim_spec, capsys, flag, text):
+    if text is None:
+        text = Path(sim_spec).read_text(encoding="utf-8")
+    outs = []
+    for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+        p = tmp_path / name
+        p.write_text(prefix + text, encoding="utf-8")
+        rsm = ["--rsm", "sdf"] if flag == "--input" else []
+        assert main(["detect", flag, str(p), *rsm, "--epsilon", "1.5"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_numerical_error_exits_3(tmp_path, capsys):

@@ -14,9 +14,6 @@ from rsmc import (
     NegativeEpsilonError,
     RsmMatrix,
     ThresholdError,
-    TooLargeError,
-    UnknownVertexError,
-    brute_force_maximal_communities,
     communities_to_csv,
     communities_to_dot,
     communities_to_json,
@@ -25,10 +22,16 @@ from rsmc import (
     refine,
     sdf_matrix,
 )
-from rsmc.community import is_community
 
 from graphgen import edge_set, path_graph, random_eeg
-from oracles import loop_refine_pairs, loop_sweep_counts
+from oracles import (
+    TooLargeError,
+    UnknownVertexError,
+    brute_force_maximal_communities,
+    is_community,
+    loop_refine_pairs,
+    loop_sweep_counts,
+)
 
 
 def eeg_from(n, pairs, epsilon=1.0, tag="external"):

@@ -18,10 +18,10 @@ from rsmc import (
     parse_edge_list,
     serialize_edge_list,
 )
-from rsmc.graph import connected_components, scale_weights
+from rsmc.graph import connected_components
 
 from graphgen import random_graph
-from oracles import bfs_components, loop_graph_edges
+from oracles import bfs_components, loop_graph_edges, scale_weights
 
 
 def test_parse_basic_two_edges():
@@ -206,8 +206,8 @@ def test_components_trivial_cases():
     two = Graph(4, ((0, 1, 1.0), (2, 3, 1.0)), False)
     part = connected_components(two)
     assert part.component_count == 2
-    assert part.same_component(0, 1)
-    assert not part.same_component(1, 2)
+    assert part.assignment[0] == part.assignment[1]
+    assert part.assignment[1] != part.assignment[2]
     assert part.components() == [[0, 1], [2, 3]]
 
 

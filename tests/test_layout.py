@@ -1,6 +1,7 @@
-"""Package layout: no private names cross modules, and rsmc exports what it binds."""
+"""Package layout: no private names cross modules, rsmc exports what it binds, no test-only code."""
 
 import ast
+import re
 import types
 from pathlib import Path
 
@@ -24,3 +25,21 @@ def test_all_lists_exactly_the_public_names():
     public = {name for name, value in vars(rsmc).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(rsmc.__all__) == public
+
+
+def test_every_public_function_is_exported_or_used():
+    # a public function the package neither exports nor calls serves only the tests
+    pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    used = set(re.findall(r'^\w+\s*=\s*"rsmc[\w.]*:(\w+)"', pyproject, re.M))
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(top, "name", None)
+            if isinstance(top, ast.FunctionDef) and not own.startswith("_"):
+                defined.append((path.name, own))
+            for node in ast.walk(top):
+                ref = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and ref != own:
+                    used.add(ref)
+    assert [f"{module}: {name}" for module, name in defined
+            if name not in rsmc.__all__ and name not in used] == []

@@ -20,7 +20,6 @@ from rsmc import (
     ParseError,
     RsmMatrix,
     SingularityError,
-    check_scaling,
     erf_matrix,
     load_builtin_dataset,
     refine,
@@ -31,7 +30,7 @@ from rsmc import (
     sdf_matrix,
     validate_rsm,
 )
-from rsmc.graph import connected_components, edge_csr, scale_weights
+from rsmc.graph import connected_components, edge_csr
 from rsmc.rsm import (
     Violation,
     _separations_by_cut_vertex,
@@ -52,11 +51,13 @@ from graphgen import (
 
 from oracles import (
     brute_force_separations,
+    check_scaling,
     csv_join_rsm,
     edge_loop_laplacian,
     floyd_warshall_distances,
     json_dumps_rsm,
     resistance_matrix_oracle,
+    scale_weights,
     triangle_breaks_oracle,
 )
 
@@ -838,4 +839,4 @@ def test_infinity_exactly_on_cross_component_pairs(seed):
     for m in (sdf_matrix(g), erf_matrix(g)):
         for i in range(g.vertex_count):
             for j in range(g.vertex_count):
-                assert math.isinf(m.values[i, j]) == (not part.same_component(i, j))
+                assert math.isinf(m.values[i, j]) == (part.assignment[i] != part.assignment[j])

@@ -14,14 +14,13 @@ from rsmc import (
     RsmMatrix,
     SimilaritySpec,
     SimilarityWarning,
-    check_scaling,
     combine_similarities,
     parse_similarity_json,
     validate_rsm,
     validate_similarity_table,
 )
 
-from oracles import combine_similarity_oracle
+from oracles import check_scaling, combine_similarity_oracle
 
 
 def table(cases, rows):
