@@ -49,13 +49,21 @@ from .similarity import (
 )
 
 
+def _check_graph_source(input_path: str | None, builtin: str | None, directed: bool) -> None:
+    """The rules every command taking a graph shares."""
+    if input_path is not None and builtin is not None:
+        raise InvalidSpecError("give either --input or --builtin, not both")
+    if directed and input_path is None:
+        raise InvalidSpecError("--directed needs an --input graph; builtin datasets are undirected")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """One detection run: where the graph comes from, which RSM, what threshold.
 
-    Exactly one RSM source must be specified: a graph (file or builtin) for
-    rsm "sdf"/"erf", a similarity spec file for rsm "similarity", or a matrix
-    file for rsm "external".
+    Exactly one RSM source must be given, each path that is not None counting:
+    a graph (file or builtin) for rsm "sdf"/"erf", a similarity spec file for
+    rsm "similarity", or a matrix file for rsm "external".
     """
 
     rsm: str
@@ -68,23 +76,18 @@ class PipelineConfig:
     matrix_path: str | None = None
 
     def __post_init__(self):
-        if self.rsm in ("sdf", "erf"):
-            if self.similarity_spec_path or self.matrix_path:
-                raise InvalidSpecError("graph-based rsm takes no spec/matrix file")
-            if (self.input_path is None) == (self.builtin is None):
-                raise InvalidSpecError(
-                    f"rsm {self.rsm!r} needs exactly one graph source (input file or builtin)"
-                )
-        elif self.rsm == "similarity":
-            if self.similarity_spec_path is None or self.input_path or self.builtin \
-                    or self.matrix_path or self.directed:
-                raise InvalidSpecError('rsm "similarity" needs a spec file and nothing else')
-        elif self.rsm == "external":
-            if self.matrix_path is None or self.input_path or self.builtin \
-                    or self.similarity_spec_path or self.directed:
-                raise InvalidSpecError('rsm "external" needs a matrix file and nothing else')
-        else:
+        _check_graph_source(self.input_path, self.builtin, self.directed)
+        kinds = {"sdf": "graph", "erf": "graph", "similarity": "spec", "external": "matrix"}
+        need = kinds.get(self.rsm)
+        if need is None:
             raise InvalidSpecError(f"unknown rsm kind {self.rsm!r}")
+        given = {source for source, path in (
+            ("graph", self.input_path), ("graph", self.builtin),
+            ("spec", self.similarity_spec_path), ("matrix", self.matrix_path),
+        ) if path is not None}
+        if given != {need}:
+            raise InvalidSpecError(f"rsm {self.rsm!r} reads a {need} and no other source; "
+                                   f"given: {', '.join(sorted(given)) or 'none'}")
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise InvalidSpecError(f"epsilon must be a finite number >= 0, got {self.epsilon}")
         if not (math.isfinite(self.tol) and self.tol >= 0):
@@ -121,12 +124,12 @@ def _load_matrix_file(path: str) -> RsmMatrix:
     return rsm_from_csv(text)
 
 
-def _load_graph(input_path: str | None, builtin: str | None, directed: bool) -> Graph:
+def _load_graph(input_path: str | None, builtin: str | None, directed: bool) -> Graph | None:
     if builtin is not None:
-        if directed:
-            raise InvalidSpecError("builtin datasets are undirected; --directed needs --input")
         return load_builtin_dataset(builtin)
-    return parse_edge_list(_read(input_path), directed=directed)
+    if input_path is not None:
+        return parse_edge_list(_read(input_path), directed=directed)
+    return None
 
 
 def resolve_rsm(cfg: PipelineConfig) -> tuple[RsmMatrix, list[str], Graph | None]:
@@ -213,13 +216,11 @@ def _rsm_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args: argparse.Namespace, epsilon: float, tol: float) -> PipelineConfig:
-    if args.rsm is not None:
-        kind = args.rsm
-    elif args.similarity_spec is not None:
-        kind = "similarity"
-    elif args.matrix is not None:
-        kind = "external"
-    else:
+    kind = (args.rsm if args.rsm is not None
+            else "similarity" if args.similarity_spec is not None
+            else "external" if args.matrix is not None
+            else None)
+    if kind is None:
         raise InvalidSpecError(
             "specify a relation source: a graph with --rsm, --similarity-spec, or --matrix"
         )
@@ -233,6 +234,12 @@ def _config_from(args: argparse.Namespace, epsilon: float, tol: float) -> Pipeli
         similarity_spec_path=args.similarity_spec,
         matrix_path=args.matrix,
     )
+
+
+def _source_summary(m: RsmMatrix, g: Graph | None) -> str:
+    """The summary line's source part; only a graph source has an edge count."""
+    edges = f", {len(g.weights)} edges" if g is not None else ""
+    return f"{m.source_rsm} rsm on {m.n} vertices{edges}"
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
@@ -249,9 +256,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
         counts = count_maximal_communities(m, sweep, cfg.tol)
         lines = ["epsilon,communities"] + [f"{eps:g},{c}" for eps, c in zip(sweep, counts)]
         _write_out("\n".join(lines) + "\n", args.out)
-        edges = f", {len(g.weights)} edges" if g is not None else ""
         print(
-            f"{m.source_rsm} rsm on {m.n} vertices{edges} -> {min(counts)} to {max(counts)} "
+            f"{_source_summary(m, g)} -> {min(counts)} to {max(counts)} "
             f"maximal communities over {len(sweep)} epsilons (tol={cfg.tol:g}) "
             f"in {time.perf_counter() - start:.3f}s",
             file=sys.stderr,
@@ -267,11 +273,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
     else:
         doc = communities_to_json(result.communities, result.labels)
     _write_out(doc, args.out)
-    edge_count = len(result.graph.weights) if result.graph is not None else len(result.eeg.edges)
     print(
-        f"{result.matrix.source_rsm} rsm on {result.matrix.n} vertices, "
-        f"{edge_count} edges -> {result.community_count} maximal communities "
-        f"(epsilon={cfg.epsilon:g}, tol={cfg.tol:g}) in {result.wall_time:.3f}s",
+        f"{_source_summary(result.matrix, result.graph)} -> {result.community_count} maximal "
+        f"communities (epsilon={cfg.epsilon:g}, tol={cfg.tol:g}) in {result.wall_time:.3f}s",
         file=sys.stderr,
     )
     return 0
@@ -286,15 +290,9 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_rsm(args: argparse.Namespace) -> int:
+    _check_graph_source(args.input, args.builtin, args.directed)
     m = _load_matrix_file(args.matrix)
-    if args.input is not None and args.builtin is not None:
-        raise InvalidSpecError("give either --input or --builtin, not both")
-    g = None
-    if args.input is not None or args.builtin is not None:
-        g = _load_graph(args.input, args.builtin, args.directed)
-    elif args.directed:
-        raise InvalidSpecError("--directed needs a graph: give --input or --builtin")
-    report = validate_rsm(m, g, tol=args.tol)
+    report = validate_rsm(m, _load_graph(args.input, args.builtin, args.directed), tol=args.tol)
     for line in report.summary_lines():
         print(line)
     return 0 if report.all_passed else 1

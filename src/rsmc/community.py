@@ -9,10 +9,12 @@ are exactly the maximal cliques.
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -55,8 +57,11 @@ class EffectiveEdgeGraph:
         bad = (lo < 0) | (hi >= n) | (lo == hi)
         if bad.any():
             raise ValueError(f"edge {pairs[bad][0].tolist()} is a self-pair or outside range({n})")
-        keys = np.unique(lo * n + hi)
-        edges = np.column_stack(np.divmod(keys, n))
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        fresh = np.ones(len(lo), dtype=bool)
+        fresh[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        edges = np.column_stack((lo[fresh], hi[fresh]))
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "epsilon", float(self.epsilon))
@@ -314,8 +319,14 @@ def communities_to_json(communities: Sequence[Community],
 
 def communities_to_csv(communities: Sequence[Community],
                        labels: Sequence[str] | None = None) -> str:
-    """One line per community: comma-separated member labels, ascending."""
-    return "".join(",".join(row) + "\n" for row in _member_labels(communities, labels))
+    """One line per community: comma-separated member labels, ascending.
+
+    A label holding a comma, a quote or a line break is quoted as in RFC 4180.
+    """
+    # csv quotes a field holding a character of the terminator, so rows end
+    # "\r\n" there and are cut back to "\n" here; writerow returns what write does
+    writer = csv.writer(SimpleNamespace(write=lambda line: line), lineterminator="\r\n")
+    return "".join(writer.writerow(row)[:-2] + "\n" for row in _member_labels(communities, labels))
 
 
 _PALETTE = (

@@ -456,24 +456,32 @@ def triangle_breaks(vals: np.ndarray, tol: float) -> list[tuple[int, int, int, f
 
 
 def _check_cut_additivity(vals: np.ndarray, g: Graph, tol: float) -> list[Violation]:
+    """Each finite vals[a, b] off vals[a, w] + vals[w, b] by more than tol, w a cut vertex between.
+
+    Each of w's groups is checked against all the other groups at once. The
+    violations come by w, then by the group of a, the group of b, a and b.
+    """
     found: list[Violation] = []
     for w, parts in _separations_by_cut_vertex(g):
-        for ai in range(len(parts)):
-            for bi in range(len(parts)):
-                if ai == bi:
-                    continue
-                a = np.asarray(parts[ai])
-                b = np.asarray(parts[bi])
-                direct = vals[np.ix_(a, b)]
-                finite = np.isfinite(direct)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    legs = vals[a, w][:, None] + vals[w, b][None, :]
-                    dev = np.where(finite, np.abs(direct - legs), 0.0)
-                bad = finite & ~(dev <= tol)
-                for i, j in zip(*np.nonzero(bad)):
-                    found.append(
-                        Violation("cut-additivity", (int(a[i]), w, int(b[j])), float(dev[i, j]))
-                    )
+        members = np.concatenate(parts)
+        part_of = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
+        stop = 0
+        for part in parts:
+            start, stop = stop, stop + len(part)
+            a = members[start:stop]
+            b = np.concatenate((members[:start], members[stop:]))
+            direct = vals[np.ix_(a, b)]
+            finite = np.isfinite(direct)
+            with np.errstate(over="ignore", invalid="ignore"):
+                legs = vals[a, w][:, None] + vals[w, b][None, :]
+                dev = np.where(finite, np.abs(direct - legs), 0.0)
+            i, j = np.nonzero(finite & ~(dev <= tol))
+            b_part = np.concatenate((part_of[:start], part_of[stop:]))[j]
+            order = np.lexsort((b[j], a[i], b_part))
+            for x, y in zip(i[order], j[order]):
+                found.append(
+                    Violation("cut-additivity", (int(a[x]), w, int(b[y])), float(dev[x, y]))
+                )
     return found
 
 

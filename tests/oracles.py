@@ -6,7 +6,8 @@ pseudoinverse instead of the shifted-inverse identity, plain double loops
 instead of vectorized table lookups and thresholding, an edge loop instead
 of scattered Laplacian entries, vertex-by-vertex removal instead of
 low-links, a breadth-first search instead of scipy's component labelling,
-a loop over edges instead of array checks on a Graph's edges,
+a loop over edges instead of array checks on a Graph's edges, a loop over
+ordered pairs of separated groups instead of one block per group,
 every vertex subset instead of a pivoted clique search, a triple loop over
 Python floats instead of blocked array minima, and ``json.dumps`` instead of
 string building. Deliberately slow and simple.
@@ -27,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from rsmc import Community, DimensionMismatchError, Graph
+from rsmc import Community, DimensionMismatchError, Graph, Violation
 from rsmc.rsm import AXIOM_TOL
 
 
@@ -292,6 +293,35 @@ def brute_force_separations(g) -> list[tuple[int, list[list[int]]]]:
         if len(parts) > 1:
             out.append((w, parts))
     return out
+
+
+def pairwise_cut_additivity(vals, g, tol: float) -> list:
+    """Cut-additivity violations found one ordered pair of separated groups at a time.
+
+    Groups come from ``brute_force_separations``; for each cut vertex w and
+    each pair of its groups (a before b in group order, both ways round),
+    every finite vals[a, b] farther than tol from vals[a, w] + vals[w, b]
+    is a violation, row by row within the pair.
+    """
+    found = []
+    for w, parts in brute_force_separations(g):
+        for ai in range(len(parts)):
+            for bi in range(len(parts)):
+                if ai == bi:
+                    continue
+                a = np.asarray(parts[ai])
+                b = np.asarray(parts[bi])
+                direct = vals[np.ix_(a, b)]
+                finite = np.isfinite(direct)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    legs = vals[a, w][:, None] + vals[w, b][None, :]
+                    dev = np.where(finite, np.abs(direct - legs), 0.0)
+                bad = finite & ~(dev <= tol)
+                for i, j in zip(*np.nonzero(bad)):
+                    found.append(
+                        Violation("cut-additivity", (int(a[i]), w, int(b[j])), float(dev[i, j]))
+                    )
+    return found
 
 
 def json_dumps_rsm(m) -> str:

@@ -1,6 +1,8 @@
 """Command-line behavior: subcommands, formats, exit codes."""
 
 import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
@@ -215,19 +217,26 @@ def test_detect_sweep_unbounded_grid(path3, capsys, sweep):
     ["detect", "--builtin", "karate", "--rsm", "sdf", "--directed", "--epsilon", "1"],
     ["matrix", "--builtin", "karate", "--rsm", "erf", "--directed"],
     ["validate-rsm", "--matrix", "{matrix}", "--builtin", "karate", "--directed"],
+    ["detect", "--similarity-spec", "{spec}", "--input", "", "--epsilon", "1"],
+    ["detect", "--matrix", "{matrix}", "--builtin", "", "--epsilon", "1"],
+    ["validate-rsm", "--matrix", "{missing}", "--input", "{path3}", "--builtin", "karate"],
 ], ids=["graph-and-spec", "rsm-and-matrix", "spec-and-matrix", "input-and-builtin",
         "input-without-rsm", "no-source-detect", "no-source-matrix", "validate-rsm-two-graphs",
         "directed-matrix", "directed-spec", "directed-matrix-command",
         "validate-rsm-directed-without-graph", "directed-builtin-detect",
-        "directed-builtin-matrix", "directed-builtin-validate-rsm"])
+        "directed-builtin-matrix", "directed-builtin-validate-rsm", "spec-and-empty-input",
+        "matrix-and-empty-builtin", "validate-rsm-two-graphs-missing-matrix"])
 def test_source_conflict_exits_2(path3, sim_spec, tmp_path, capsys, argv):
     matrix = tmp_path / "m.csv"
     matrix.write_text("0,1,2\n1,0,1\n2,1,0\n")
-    argv = [a.format(path3=path3, spec=sim_spec, matrix=matrix) for a in argv]
+    missing = tmp_path / "missing.csv"
+    argv = [a.format(path3=path3, spec=sim_spec, matrix=matrix, missing=missing) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    # the conflict is found before any file is read, so no file is named
+    assert str(tmp_path) not in captured.err
 
 
 def test_detect_similarity_source(sim_spec, capsys):
@@ -235,6 +244,25 @@ def test_detect_similarity_source(sim_spec, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["rsm"] == "similarity"
     assert ["v", "w"] in doc["communities"]
+
+
+def test_detect_summary_line_counts_edges_only_for_a_graph(path3, sim_spec, capsys):
+    assert main(["detect", "--input", path3, "--rsm", "sdf", "--epsilon", "1"]) == 0
+    assert capsys.readouterr().err.startswith("sdf rsm on 3 vertices, 2 edges -> 2 maximal ")
+    assert main(["detect", "--similarity-spec", sim_spec, "--epsilon", "1.5"]) == 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("similarity rsm on 3 vertices -> ")
+
+
+def test_detect_csv_quotes_labels_with_commas(tmp_path, capsys):
+    p = tmp_path / "commas.tsv"
+    p.write_text("a,b\tc\nc\td\na,b\td\n")
+    assert main(["detect", "--input", str(p), "--rsm", "sdf", "--epsilon", "1",
+                 "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert out == '"a,b",c,d\n'
+    assert list(csv.reader(io.StringIO(out, newline=""))) == [["a,b", "c", "d"]]
 
 
 def test_detect_external_matrix(tmp_path, capsys):
@@ -462,6 +490,8 @@ def test_run_pipeline_config_validation():
         PipelineConfig(rsm="similarity", epsilon=1.0)
     with pytest.raises(InvalidSpecError):
         PipelineConfig(rsm="external", epsilon=1.0, input_path="x", matrix_path="y")
+    with pytest.raises(InvalidSpecError):
+        PipelineConfig(rsm="sdf", epsilon=1.0, builtin="karate", directed=True)
 
 
 def test_run_pipeline_result_fields():

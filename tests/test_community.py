@@ -1,5 +1,7 @@
 """Refinement, community predicate, clique enumeration vs exhaustive oracle."""
 
+import csv
+import io
 import json
 import logging
 
@@ -19,6 +21,8 @@ from rsmc import (
     communities_to_json,
     count_maximal_communities,
     enumerate_maximal_communities,
+    erf_matrix,
+    load_builtin_dataset,
     refine,
     sdf_matrix,
 )
@@ -459,6 +463,14 @@ def test_eeg_validation():
         from_array.edges[0, 0] = 2
 
 
+def test_eeg_edges_of_vertices_beyond_int64_keys():
+    # lo * n + hi overflows int64 here; the pairs must come through as given
+    eeg = EffectiveEdgeGraph(vertex_count=4_000_000_000,
+                             edges=[(3_000_000_000, 3_000_000_001), (1, 2)],
+                             epsilon=1.0, rsm_tag="x")
+    assert eeg.edges.tolist() == [[1, 2], [3000000000, 3000000001]]
+
+
 def test_community_requires_members():
     with pytest.raises(ValueError):
         Community(members=frozenset(), epsilon=1.0, rsm_tag="x")
@@ -503,6 +515,23 @@ def test_csv_output():
     eeg = eeg_from(3, {(0, 1), (1, 2)})
     out = communities_to_csv(enumerate_maximal_communities(eeg), labels=["x", "y", "z"])
     assert out == "x,y\ny,z\n"
+
+
+def test_csv_output_quotes_labels_that_need_it():
+    labels = ["a,b", "c", "d", 'say "hi"', "v\nw", "x\ry", "e\r\nf", "", " s"]
+    members = [[0, 1, 2], [3, 4], [5, 6], [7], [8, 0]]
+    found = [Community(frozenset(m), 1.0, "x") for m in members]
+    out = communities_to_csv(found, labels)
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert rows == [[labels[v] for v in sorted(m)] for m in members]
+    assert out.startswith('"a,b",c,d\n')
+
+
+def test_csv_output_of_plain_labels_is_a_comma_join():
+    g = load_builtin_dataset("karate")
+    found = enumerate_maximal_communities(refine(erf_matrix(g), 1.5))
+    rows = [",".join(g.labels[v] for v in sorted(c.members)) + "\n" for c in found]
+    assert communities_to_csv(found, g.labels) == "".join(rows)
 
 
 def test_dot_output_multi_membership_is_wedged():

@@ -33,6 +33,7 @@ from rsmc import (
 from rsmc.graph import connected_components, edge_csr
 from rsmc.rsm import (
     Violation,
+    _check_cut_additivity,
     _separations_by_cut_vertex,
     laplacian,
     laplacian_pseudoinverse,
@@ -56,6 +57,7 @@ from oracles import (
     edge_loop_laplacian,
     floyd_warshall_distances,
     json_dumps_rsm,
+    pairwise_cut_additivity,
     resistance_matrix_oracle,
     scale_weights,
     triangle_breaks_oracle,
@@ -554,6 +556,35 @@ def test_cut_additivity_violation_detected():
     report = validate_rsm(RsmMatrix(vals, "external"), path_graph(3))
     assert any(v.kind == "cut-additivity" for v in report.violations)
     assert not report.triangle
+
+
+def _star(leaves, rng):
+    return Graph(leaves + 1, tuple((0, v, rng.uniform(0.5, 2.0)) for v in range(1, leaves + 1)),
+                 False)
+
+
+def _directed_chain_of_cycles():
+    # directed triangles meeting at 2, a two-way pendant at 4 and a one-way spur 2 -> 6 -> 7
+    arcs = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (4, 5), (5, 4), (2, 6), (6, 7)]
+    return Graph(8, tuple((s, d, 1.0 + 0.25 * k) for k, (s, d) in enumerate(arcs)), True)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: _star(40, rng),
+    lambda rng: path_graph(30),
+    lambda rng: _directed_chain_of_cycles(),
+], ids=["star", "path", "directed"])
+def test_cut_additivity_matches_pairwise_oracle(make):
+    rng = np.random.RandomState(7)
+    g = make(rng)
+    vals = sdf_matrix(g).values.copy()
+    n = g.vertex_count
+    for _ in range(50):
+        i, j = rng.randint(n, size=2)
+        vals[i, j] = (vals[i, j] + rng.uniform(-0.5, 0.5), np.inf, 1e308, 0.0)[rng.randint(4)]
+    found = _check_cut_additivity(vals, g, 1e-9)
+    assert found == pairwise_cut_additivity(vals, g, 1e-9)
+    assert len(found) > 20
 
 
 # ---------------------------------------------------------------------------
