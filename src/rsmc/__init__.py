@@ -50,7 +50,6 @@ from .rsm import (
 from .similarity import (
     CaseTable,
     SimilaritySpec,
-    SimilarityWarning,
     TableReport,
     combine_similarities,
     parse_similarity_json,
@@ -79,7 +78,6 @@ __all__ = [
     "RsmValidationReport",
     "RsmcError",
     "SimilaritySpec",
-    "SimilarityWarning",
     "SingularityError",
     "TableReport",
     "ThresholdError",

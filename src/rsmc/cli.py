@@ -3,7 +3,8 @@
 Subcommands: ``detect`` (full pipeline: graph -> RSM -> refine -> maximal
 communities), ``matrix`` (emit the RSM matrix only), ``validate-rsm``,
 ``validate-similarity``, and ``datasets``. Exit codes: 0 success, 1 a
-validation command found violations, 2 input error, 3 numerical error.
+validation command found violations, 2 input error (an input too large for
+memory too), 3 numerical error.
 """
 
 from __future__ import annotations
@@ -236,12 +237,6 @@ def _config_from(args: argparse.Namespace, epsilon: float, tol: float) -> Pipeli
     )
 
 
-def _source_summary(m: RsmMatrix, g: Graph | None) -> str:
-    """The summary line's source part; only a graph source has an edge count."""
-    edges = f", {len(g.weights)} edges" if g is not None else ""
-    return f"{m.source_rsm} rsm on {m.n} vertices{edges}"
-
-
 def cmd_detect(args: argparse.Namespace) -> int:
     if (args.epsilon is None) == (args.epsilon_sweep is None):
         raise InvalidSpecError("exactly one of --epsilon / --epsilon-sweep is required")
@@ -255,29 +250,28 @@ def cmd_detect(args: argparse.Namespace) -> int:
         m, _, g = resolve_rsm(cfg)
         counts = count_maximal_communities(m, sweep, cfg.tol)
         lines = ["epsilon,communities"] + [f"{eps:g},{c}" for eps, c in zip(sweep, counts)]
-        _write_out("\n".join(lines) + "\n", args.out)
-        print(
-            f"{_source_summary(m, g)} -> {min(counts)} to {max(counts)} "
-            f"maximal communities over {len(sweep)} epsilons (tol={cfg.tol:g}) "
-            f"in {time.perf_counter() - start:.3f}s",
-            file=sys.stderr,
-        )
-        return 0
-
-    cfg = _config_from(args, epsilon=args.epsilon, tol=args.tol)
-    result = run_pipeline(cfg)
-    if args.format == "dot":
-        doc = communities_to_dot(result.eeg, result.communities, result.labels)
-    elif args.format == "csv":
-        doc = communities_to_csv(result.communities, result.labels)
+        doc = "\n".join(lines) + "\n"
+        outcome = (f"{min(counts)} to {max(counts)} maximal communities "
+                   f"over {len(sweep)} epsilons (tol={cfg.tol:g})")
+        seconds = time.perf_counter() - start
     else:
-        doc = communities_to_json(result.communities, result.labels)
+        cfg = _config_from(args, epsilon=args.epsilon, tol=args.tol)
+        result = run_pipeline(cfg)
+        m, g = result.matrix, result.graph
+        if args.format == "dot":
+            doc = communities_to_dot(result.eeg, result.communities, result.labels)
+        elif args.format == "csv":
+            doc = communities_to_csv(result.communities, result.labels)
+        else:
+            doc = communities_to_json(result.communities, result.labels)
+        outcome = (f"{result.community_count} maximal communities "
+                   f"(epsilon={cfg.epsilon:g}, tol={cfg.tol:g})")
+        seconds = result.wall_time
+
     _write_out(doc, args.out)
-    print(
-        f"{_source_summary(result.matrix, result.graph)} -> {result.community_count} maximal "
-        f"communities (epsilon={cfg.epsilon:g}, tol={cfg.tol:g}) in {result.wall_time:.3f}s",
-        file=sys.stderr,
-    )
+    edges = f", {len(g.weights)} edges" if g is not None else ""  # only a graph has edges
+    print(f"{m.source_rsm} rsm on {m.n} vertices{edges} -> {outcome} in {seconds:.3f}s",
+          file=sys.stderr)
     return 0
 
 
@@ -379,6 +373,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (RsmcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, NumericalError) else 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

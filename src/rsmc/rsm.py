@@ -98,11 +98,24 @@ def sdf_matrix(g: Graph) -> RsmMatrix:
     invariants, so per-source Dijkstra applies. On an undirected graph the
     matrix is exactly symmetric: each pair gets the smaller of its two
     directions, which can differ in the last bit as the two searches add a
-    path's weights in opposite orders.
+    path's weights in opposite orders. A path length too large for a float
+    raises NumericalError rather than reading as unreachable.
     """
-    dist = dijkstra(edge_csr(g), directed=g.directed, return_predecessors=False)
+    csr = edge_csr(g)
+    dist = dijkstra(csr, directed=g.directed, return_predecessors=False)
     if not g.directed:
         np.minimum(dist, dist.T, out=dist)
+    # every tentative distance is at most twice the weight total, so only a
+    # heavier graph can overflow a path length into the +inf of "unreachable"
+    with np.errstate(over="ignore"):
+        heavy = g.weights.sum() > np.finfo(float).max / 2
+    if heavy:
+        hops = dijkstra(csr, directed=g.directed, unweighted=True, return_predecessors=False)
+        overflowed = np.argwhere(np.isinf(dist) & np.isfinite(hops))
+        if overflowed.size:
+            i, j = overflowed[0]
+            raise NumericalError(f"the shortest path length from {g.labels[i]} to "
+                                 f"{g.labels[j]} is too large for a float")
     return _frozen(dist, SDF_TAG)
 
 
@@ -206,7 +219,8 @@ def erf_matrix(g: Graph) -> RsmMatrix:
     components get +inf. The conductance convention is what makes resistance
     scale linearly when all weights scale. Components are solved one after
     another, an isolated vertex without a solve (its one entry is 0); the
-    result is exactly symmetric.
+    result is exactly symmetric. A resistance too large for a float raises
+    NumericalError.
     """
     if g.directed:
         raise DirectedInputError("effective resistance is defined for undirected graphs only")
@@ -234,8 +248,12 @@ def erf_matrix(g: Graph) -> RsmMatrix:
             continue
         local[comp] = np.arange(len(comp))
         rows = np.column_stack((local[src[edges]], local[dst[edges]], conductance[edges]))
-        pinv = laplacian_pseudoinverse(Graph(len(comp), rows, directed=False))
-        _resistances_in_place(pinv)
+        try:
+            with np.errstate(over="raise"):
+                pinv = laplacian_pseudoinverse(Graph(len(comp), rows, directed=False))
+                _resistances_in_place(pinv)
+        except FloatingPointError:
+            raise NumericalError("an effective resistance is too large for a float") from None
         if values is None:
             values = pinv  # one component holds every vertex, in order
         else:
@@ -422,12 +440,8 @@ def _two_leg_minima(vals: np.ndarray) -> tuple[np.ndarray, int, int]:
                 np.add(legs[:, k:k + 1], vals[k], out=temp)
                 np.minimum(run, temp, out=run)
 
-    if workers == 1:
-        for start in starts:
-            fill(start)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill, starts))
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(fill, starts))
     return best, rows, workers
 
 

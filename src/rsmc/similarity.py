@@ -9,17 +9,15 @@ result is an ordinary RsmMatrix and can be fed to refinement like any other.
 from __future__ import annotations
 
 import json
-import warnings
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpecError, ParseError
+from .errors import InvalidSpecError, NumericalError, ParseError
 from .rsm import SIMILARITY_TAG, RsmMatrix, Violation, triangle_breaks
 
-
-class SimilarityWarning(UserWarning):
-    """Degenerate-but-allowed similarity input (collapses, non-metric tables)."""
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,37 +198,35 @@ def combine_similarities(spec: SimilaritySpec) -> RsmMatrix:
 
     values[u][v] = sum over properties P of weight_P * table_P[case of u,
     case of v]. The matrix is finite, symmetric when the tables are, and has
-    a zero diagonal. Distinct vertices with identical effective assignments
-    collapse to strength 0; a SimilarityWarning names those pairs, as it does
-    tables that break the triangle inequality (either way the combined matrix
-    is no longer guaranteed to be a pseudometric).
+    a zero diagonal; a sum too large for a float raises NumericalError.
+    Distinct vertices with identical effective assignments collapse to
+    strength 0; a WARNING on the ``rsmc.similarity`` logger names those
+    pairs, as it does tables that break the triangle inequality (either way
+    the combined matrix is no longer guaranteed to be a pseudometric).
     """
     labels = spec.vertex_labels
     n = len(labels)
     values = np.zeros((n, n))
-    shaky_tables = []
-    for prop, weight in zip(spec.properties, spec.weights):
-        table = spec.tables[prop]
-        if not validate_similarity_table(table).triangle:
-            shaky_tables.append(prop)
-        idx = np.array([table.case_index(spec.assignments[label][prop]) for label in labels])
-        values += weight * table.values[np.ix_(idx, idx)]
+    try:
+        with np.errstate(over="raise"):
+            for prop, weight in zip(spec.properties, spec.weights):
+                table = spec.tables[prop]
+                idx = np.array([table.case_index(spec.assignments[label][prop])
+                                for label in labels])
+                values += weight * table.values[np.ix_(idx, idx)]
+    except FloatingPointError:
+        raise NumericalError("a combined relation strength is too large for a float") from None
 
+    shaky_tables = [prop for prop in spec.properties
+                    if not validate_similarity_table(spec.tables[prop]).triangle]
     if shaky_tables:
-        warnings.warn(
-            f"case table(s) {shaky_tables} break the triangle inequality; "
-            "the combined matrix may not be a pseudometric",
-            SimilarityWarning,
-            stacklevel=2,
-        )
+        log.warning("case table(s) %s break the triangle inequality; "
+                    "the combined matrix may not be a pseudometric", shaky_tables)
     rows, cols = np.nonzero(np.triu(values == 0.0, k=1))
     collapsed = [(labels[i], labels[j]) for i, j in zip(rows.tolist(), cols.tolist())]
     if collapsed:
-        warnings.warn(
-            f"{len(collapsed)} vertex pair(s) collapse to zero relation strength: {collapsed}",
-            SimilarityWarning,
-            stacklevel=2,
-        )
+        log.warning("%d vertex pair(s) collapse to zero relation strength: %s",
+                    len(collapsed), collapsed)
     values.setflags(write=False)  # fresh, so RsmMatrix need not copy it
     return RsmMatrix(values=values, source_rsm=SIMILARITY_TAG)
 

@@ -389,15 +389,80 @@ def test_datasets(capsys):
     assert "34 vertices, 78 edges" in out
 
 
-def test_python_m_rsmc_runs_the_cli():
-    env = dict(os.environ)
+def run_python_m_rsmc(*args: str, env: dict | None = None, **kwargs):
+    """Run ``python -m rsmc`` on this checkout in a child process, output as text."""
+    env = dict(os.environ, **(env or {}))
     src = str(Path(rsmc.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "rsmc", "datasets"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "rsmc", *args], capture_output=True,
+                          text=True, env=env, timeout=60, **kwargs)
+
+
+def test_python_m_rsmc_runs_the_cli():
+    proc = run_python_m_rsmc("datasets", env={"PYTHONWARNINGS": "error"})
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout.startswith("karate\t34 vertices, 78 edges")
+
+
+def test_similarity_collapse_is_one_stderr_line(sim_spec, tmp_path):
+    doc = json.loads(Path(sim_spec).read_text())
+    doc["assignments"]["u2"] = dict(doc["assignments"]["u"])
+    spec = tmp_path / "collapse.json"
+    spec.write_text(json.dumps(doc))
+    proc = run_python_m_rsmc("detect", "--similarity-spec", str(spec), "--epsilon", "1")
+    assert proc.returncode == 0
+    collapse, summary = proc.stderr.splitlines()
+    assert collapse == "1 vertex pair(s) collapse to zero relation strength: [('u', 'u2')]"
+    assert summary.startswith("similarity rsm on 4 vertices -> ")
+
+
+def _rlimit_as_2gib():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "--rsm", "sdf", "--epsilon", "1"],
+    ["matrix", "--rsm", "erf"],
+], ids=["detect-sdf", "matrix-erf"])
+def test_matrix_too_large_for_memory_exits_2(tmp_path, argv):
+    # the child alone runs under a 2 GiB address-space limit, which the
+    # 20,000 x 20,000 float matrix (2.98 GiB) cannot fit in
+    resource = pytest.importorskip("resource")
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY and hard < 2 << 30:
+        pytest.skip("hard address-space limit below 2 GiB")
+    p = tmp_path / "isolated.tsv"
+    p.write_text("".join(f"v{i}\n" for i in range(20_000)))
+    proc = run_python_m_rsmc(*argv, "--input", str(p), preexec_fn=_rlimit_as_2gib,
+                             env={"OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: out of memory: Unable to allocate 2.98 GiB for an array "
+                           "with shape (20000, 20000) and data type float64\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["matrix", "--rsm", "sdf", "--input"],
+    ["detect", "--rsm", "sdf", "--epsilon", "1e308", "--input"],
+    ["matrix", "--rsm", "erf", "--input"],
+    ["matrix", "--similarity-spec"],
+], ids=["matrix-sdf", "detect-sdf", "matrix-erf", "matrix-similarity"])
+def test_strength_too_large_for_a_float_exits_3(sim_spec, tmp_path, capsys, argv):
+    if argv[-1] == "--input":
+        p = tmp_path / "heavy.tsv"
+        p.write_text("a\tb\t1e308\nb\tc\t1e308\n")
+    else:
+        doc = json.loads(Path(sim_spec).read_text())
+        doc["weights"] = [1.5e308, 1.5e308]  # u to v sums to 2.25e308
+        p = tmp_path / "heavy.json"
+        p.write_text(json.dumps(doc))
+    assert main([*argv, str(p)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "too large for a float" in captured.err
 
 
 def test_input_error_exits(tmp_path, capsys):

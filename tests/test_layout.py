@@ -1,4 +1,5 @@
-"""Package layout: no private names cross modules, rsmc exports what it binds, no test-only code."""
+"""Package layout: no private names cross modules, rsmc exports what it binds, no test-only code,
+diagnostics only through logging."""
 
 import ast
 import re
@@ -43,3 +44,14 @@ def test_every_public_function_is_exported_or_used():
                     used.add(ref)
     assert [f"{module}: {name}" for module, name in defined
             if name not in rsmc.__all__ and name not in used] == []
+
+
+def test_no_module_imports_warnings():
+    # diagnostics are logging records; a warnings.warn would print a source line
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            importers += [path.name for name in names if name == "warnings"]
+    assert importers == []

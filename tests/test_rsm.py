@@ -105,6 +105,21 @@ def test_sdf_bitwise_symmetric_on_undirected_graphs(seed):
     assert (vals == vals.T).all()
 
 
+def test_sdf_path_length_too_large_for_a_float_raises():
+    g = Graph(3, ((0, 1, 1e308), (1, 2, 1e308)), directed=False, labels=("a", "b", "c"))
+    with pytest.raises(NumericalError, match="^the shortest path length from a to c is too large"):
+        sdf_matrix(g)
+
+
+def test_sdf_heavy_directed_graph_keeps_unreachable_pairs_infinite():
+    # the weights pass half the largest float, so the reachability check runs
+    m = sdf_matrix(Graph(3, ((0, 1, 1e308), (1, 2, 1.0)), directed=True))
+    assert m.values[0, 2] == 1e308 and m.values[0, 1] == 1e308
+    assert math.isinf(m.values[2, 0]) and math.isinf(m.values[1, 0])
+    with pytest.raises(NumericalError, match="from 0 to 2"):
+        sdf_matrix(Graph(3, ((0, 1, 1e308), (1, 2, 1e308)), directed=True))
+
+
 #: Dijkstra from 3 and from 5 add the weights of the same path 3-0-4-5 in
 #: opposite orders and differ in the last bit.
 _ASYMMETRIC_SUMS = Graph(6, (
@@ -186,6 +201,12 @@ def test_erf_rejects_weight_too_small_to_invert():
         with pytest.raises(NumericalError,
                            match=r"^edge \(2, 3\) weight 5e-324 is too small to invert$"):
             erf_matrix(g)
+
+
+def test_erf_resistance_too_large_for_a_float_raises():
+    g = Graph(3, ((0, 1, 1e308), (1, 2, 1e308)), directed=False)
+    with pytest.raises(NumericalError, match="^an effective resistance is too large for a float$"):
+        erf_matrix(g)
 
 
 def test_pseudoinverse_projection_residual_reported():

@@ -1,6 +1,8 @@
 """Case tables, weighted combination, spec validation, JSON loading."""
 
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -10,10 +12,10 @@ from hypothesis import strategies as st
 from rsmc import (
     CaseTable,
     InvalidSpecError,
+    NumericalError,
     ParseError,
     RsmMatrix,
     SimilaritySpec,
-    SimilarityWarning,
     combine_similarities,
     parse_similarity_json,
     validate_rsm,
@@ -21,6 +23,11 @@ from rsmc import (
 )
 
 from oracles import check_scaling, combine_similarity_oracle
+
+
+def similarity_warnings(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.name == "rsmc.similarity" and r.levelno == logging.WARNING]
 
 
 def table(cases, rows):
@@ -146,16 +153,16 @@ def test_combine_reproduces_hand_arithmetic():
     assert (np.diag(m.values) == 0).all()
 
 
-def test_combine_identical_assignments_collapse_with_warning():
+def test_combine_identical_assignments_collapse_with_warning(caplog):
     doc = spec_doc()
     doc["assignments"]["u2"] = dict(doc["assignments"]["u"])
-    with pytest.warns(SimilarityWarning, match="collapse"):
-        m = combine_similarities(spec_from(doc))
+    m = combine_similarities(spec_from(doc))
+    assert any(re.search("collapse", msg) for msg in similarity_warnings(caplog))
     i, j = 0, list(doc["assignments"]).index("u2")
     assert m.values[i, j] == 0.0
 
 
-def test_combine_single_discrete_metric_is_table_lookup():
+def test_combine_single_discrete_metric_is_table_lookup(caplog):
     doc = {
         "properties": ["P"],
         "cases": {"P": ["a", "b", "c"]},
@@ -165,8 +172,8 @@ def test_combine_single_discrete_metric_is_table_lookup():
             "v1": {"P": "a"}, "v2": {"P": "b"}, "v3": {"P": "c"}, "v4": {"P": "a"},
         },
     }
-    with pytest.warns(SimilarityWarning):
-        m = combine_similarities(spec_from(doc))
+    m = combine_similarities(spec_from(doc))
+    assert similarity_warnings(caplog)
     tab = np.array(doc["tables"]["P"], dtype=float)
     idx = [0, 1, 2, 0]
     for i in range(4):
@@ -194,10 +201,7 @@ def test_combine_matches_naive_oracle(seed):
             f"P{p}": doc["cases"][f"P{p}"][rng.randint(len(doc["cases"][f"P{p}"]))]
             for p in range(k)
         }
-    import warnings as _w
-    with _w.catch_warnings():
-        _w.simplefilter("ignore", SimilarityWarning)
-        m = combine_similarities(spec_from(doc))
+    m = combine_similarities(spec_from(doc))
     labels, expected = combine_similarity_oracle(doc)
     assert labels == list(doc["assignments"])
     np.testing.assert_allclose(m.values, expected, rtol=0, atol=1e-12)
@@ -215,12 +219,20 @@ def test_weight_scaling_scales_matrix():
     assert check_scaling(m, scaled, 4.0, tol=1e-12)
 
 
-def test_triangle_breaking_table_warns_but_returns():
+def test_triangle_breaking_table_warns_but_returns(caplog):
     doc = spec_doc()
     doc["tables"]["P1"] = [[0, 1, 3], [1, 0, 1], [3, 1, 0]]
-    with pytest.warns(SimilarityWarning, match="triangle"):
-        m = combine_similarities(spec_from(doc))
+    m = combine_similarities(spec_from(doc))
+    assert any(re.search("triangle", msg) for msg in similarity_warnings(caplog))
     assert m.values[0, 1] == 2 * 3 + 3 * 0.5
+
+
+def test_combined_strength_too_large_for_a_float_raises():
+    doc = spec_doc(weights=(1.0, 1.0))
+    doc["tables"]["P1"] = [[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]]
+    doc["tables"]["P2"] = [[0, 1e308], [1e308, 0]]
+    with pytest.raises(NumericalError, match="too large for a float"):
+        combine_similarities(spec_from(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +255,10 @@ def test_spec_weight_too_large_for_a_float():
                        weights=(10**400, 3.0), assignments=spec.assignments)
 
 
-def test_spec_allows_one_zero_weight():
+def test_spec_allows_one_zero_weight(caplog):
     # with P1 muted, v and w (both z1) become indistinguishable
-    with pytest.warns(SimilarityWarning, match="collapse"):
-        m = combine_similarities(spec_from(spec_doc(weights=(0.0, 3.0))))
+    m = combine_similarities(spec_from(spec_doc(weights=(0.0, 3.0))))
+    assert any(re.search("collapse", msg) for msg in similarity_warnings(caplog))
     assert m.values[0, 1] == 3 * 0.5
 
 
