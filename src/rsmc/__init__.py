@@ -53,7 +53,6 @@ from .similarity import (
     TableReport,
     combine_similarities,
     parse_similarity_json,
-    validate_similarity_table,
 )
 
 __version__ = "0.1.0"
@@ -104,5 +103,4 @@ __all__ = [
     "sdf_matrix",
     "serialize_edge_list",
     "validate_rsm",
-    "validate_similarity_table",
 ]

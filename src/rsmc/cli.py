@@ -46,7 +46,6 @@ from .similarity import (
     combine_similarities,
     load_similarity_parts,
     parse_similarity_json,
-    validate_similarity_table,
 )
 
 
@@ -296,7 +295,7 @@ def cmd_validate_similarity(args: argparse.Namespace) -> int:
     props, tables, weights, assignments = load_similarity_parts(_read(args.spec))
     failed = False
     for prop in props:
-        report = validate_similarity_table(tables[prop])
+        report = tables[prop].report
         axioms_ok = report.nonnegativity and report.coincidence and report.symmetry
         failed = failed or not axioms_ok
         status = "pass" if axioms_ok else "FAIL"

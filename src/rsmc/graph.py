@@ -134,6 +134,15 @@ def connected_components(g: Graph) -> ComponentPartition:
     return ComponentPartition(assignment=tuple(labels.tolist()), component_count=count)
 
 
+def is_ascii_number(token: str) -> bool:
+    """Whether a token that ``float`` reads is spelled as the text formats allow.
+
+    ``float`` alone also reads digit separators (``1_5``) and non-ASCII
+    digits such as Arabic-Indic ones; edge lists and CSV matrices take neither.
+    """
+    return token.isascii() and "_" not in token
+
+
 def parse_edge_list(text: str, directed: bool = False) -> Graph:
     """Parse a whitespace-separated edge list into a Graph.
 
@@ -166,7 +175,7 @@ def parse_edge_list(text: str, directed: bool = False) -> Graph:
             weight = float(tokens[2]) if len(tokens) == 3 else 1.0
         except ValueError:
             weight = math.nan
-        if math.isnan(weight):
+        if math.isnan(weight) or len(tokens) == 3 and not is_ascii_number(tokens[2]):
             raise ParseError(f"bad weight {tokens[2]!r}", lineno)
         src = index_of.setdefault(src_tok, len(index_of))
         dst = index_of.setdefault(dst_tok, len(index_of))

@@ -34,7 +34,7 @@ from .errors import (
     SingularityError,
     ThresholdError,
 )
-from .graph import Graph, connected_components, edge_csr
+from .graph import Graph, connected_components, edge_csr, is_ascii_number
 
 log = logging.getLogger(__name__)
 
@@ -72,7 +72,12 @@ class RsmMatrix:
         arr = self.values
         if not (type(arr) is np.ndarray and arr.dtype == np.float64
                 and not arr.flags.writeable):
-            arr = np.array(arr, dtype=float)
+            try:
+                arr = np.array(arr, dtype=float)
+            except OverflowError:
+                raise MatrixValueError("matrix holds an integer too large for a float") from None
+            except (TypeError, ValueError):
+                raise MatrixValueError("matrix entries must be reals in rows of one length") from None
             arr.setflags(write=False)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise DimensionMismatchError(f"expected a nonempty square matrix, got shape {arr.shape}")
@@ -616,6 +621,8 @@ def rsm_from_csv(text: str) -> RsmMatrix:
                 raise ParseError(f"NaN matrix entry {tok!r}", lineno)
             if math.isinf(v) and tok.lstrip("+-").lower() not in _INF_SPELLINGS:
                 raise ParseError(f"matrix entry {tok!r} is too large for a float", lineno)
+            if not is_ascii_number(tok):
+                raise ParseError(f"bad matrix entry {tok!r}", lineno)
             row.append(v)
         rows.append(row)
     if not rows:

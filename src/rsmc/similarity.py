@@ -19,18 +19,23 @@ from .rsm import SIMILARITY_TAG, RsmMatrix, Violation, triangle_breaks
 
 log = logging.getLogger(__name__)
 
+#: Slack of the triangle check that judges every case table.
+TRIANGLE_SLACK = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class CaseTable:
     """Dissimilarity table over one property's case set.
 
     values[i][j] is the dissimilarity of cases[i] and cases[j]. Construction
-    only enforces structure (square, finite, matching the case list); whether
-    the entries satisfy the similarity axioms is the validator's business.
+    enforces structure (square, finite, matching the case list) and raises
+    InvalidSpecError on any failure; it then judges the entries once against
+    the similarity axioms and keeps the result as ``report``.
     """
 
     cases: tuple[str, ...]
     values: np.ndarray
+    report: TableReport = field(init=False, repr=False)
 
     def __post_init__(self):
         cases = tuple(str(c) for c in self.cases)
@@ -42,6 +47,8 @@ class CaseTable:
             arr = np.array(self.values, dtype=float)
         except OverflowError:
             raise InvalidSpecError("table holds an integer too large for a float") from None
+        except (TypeError, ValueError):
+            raise InvalidSpecError("table entries must be reals in rows of one length") from None
         if arr.shape != (len(cases), len(cases)):
             raise InvalidSpecError(
                 f"table shape {arr.shape} does not match {len(cases)} case(s)"
@@ -51,6 +58,7 @@ class CaseTable:
         arr.setflags(write=False)
         object.__setattr__(self, "cases", cases)
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "report", _judge(cases, arr))
 
     def case_index(self, case: str) -> int:
         try:
@@ -80,10 +88,8 @@ class TableReport:
         return self.nonnegativity and self.coincidence and self.symmetry and self.triangle
 
 
-def validate_similarity_table(table: CaseTable, tol: float = 1e-12) -> TableReport:
-    """Report-only check of a case table against the similarity axioms."""
-    vals = table.values
-    names = table.cases
+def _judge(names: tuple[str, ...], vals: np.ndarray) -> TableReport:
+    """Report-only check of a case table's entries against the similarity axioms."""
     n = len(names)
     violations: list[Violation] = []
 
@@ -109,7 +115,7 @@ def validate_similarity_table(table: CaseTable, tol: float = 1e-12) -> TableRepo
             )
     symmetry = not asym.any()
 
-    breaks = triangle_breaks(vals, tol)
+    breaks = triangle_breaks(vals, TRIANGLE_SLACK)
     for i, k, j, excess in breaks:
         violations.append(Violation("triangle", (names[i], names[k], names[j]), excess))
 
@@ -152,8 +158,9 @@ class SimilaritySpec:
                 f"tables keyed by {sorted(self.tables)} but properties are {sorted(props)}"
             )
         for prop in props:
-            report = validate_similarity_table(self.tables[prop])
-            hard = [v for v in report.violations
+            if not isinstance(self.tables[prop], CaseTable):
+                raise InvalidSpecError(f"table for {prop!r} must be a CaseTable")
+            hard = [v for v in self.tables[prop].report.violations
                     if v.kind in ("negative", "diagonal-nonzero", "asymmetry")]
             if hard:
                 first = hard[0]
@@ -217,8 +224,7 @@ def combine_similarities(spec: SimilaritySpec) -> RsmMatrix:
     except FloatingPointError:
         raise NumericalError("a combined relation strength is too large for a float") from None
 
-    shaky_tables = [prop for prop in spec.properties
-                    if not validate_similarity_table(spec.tables[prop]).triangle]
+    shaky_tables = [prop for prop in spec.properties if not spec.tables[prop].report.triangle]
     if shaky_tables:
         log.warning("case table(s) %s break the triangle inequality; "
                     "the combined matrix may not be a pseudometric", shaky_tables)

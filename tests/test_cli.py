@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -315,14 +316,28 @@ def test_validate_rsm_pass_and_fail(path3, tmp_path, capsys):
     ("huge-float.json", '{"values": [[0, 1e400], [1e400, 0]]}'),
     ("null-tag.json", '{"rsm": null, "values": [[0, 1], [1, 0]]}'),
     ("object-tag.json", '{"rsm": {"x": [1]}, "values": [[0, 1], [1, 0]]}'),
+    ("separator.csv", "0,1_0\n1_0,0\n"),
 ], ids=["csv-minus-inf", "json-minus-infinity", "json-int-overflow", "csv-float-overflow",
-        "json-float-overflow", "json-null-tag", "json-object-tag"])
+        "json-float-overflow", "json-null-tag", "json-object-tag", "csv-digit-separator"])
 def test_validate_rsm_bad_entry_exits_2(tmp_path, capsys, name, text):
     bad = tmp_path / name
     bad.write_text(text)
     assert main(["validate-rsm", "--matrix", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    ("a\tb\t1_5\n", ["detect", "--input", "{f}", "--rsm", "sdf"], "line 1: bad weight '1_5'"),
+    ("a\tb\t1\nb\tc\t\u0663\n", ["detect", "--input", "{f}", "--rsm", "sdf"],
+     "line 2: bad weight '\u0663'"),
+    ("0,1_0\n1_0,0\n", ["detect", "--matrix", "{f}"], "line 1: bad matrix entry '1_0'"),
+], ids=["edge-list-separator", "edge-list-arabic-indic", "csv-separator"])
+def test_number_that_is_not_plain_ascii_exits_2(tmp_path, capsys, text, argv, message):
+    f = tmp_path / "input.txt"
+    f.write_text(text, encoding="utf-8")
+    assert main([a.format(f=f) for a in argv] + ["--epsilon", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
@@ -357,6 +372,17 @@ def test_validate_similarity(sim_spec, tmp_path, capsys):
 
     bad.write_text("{")
     assert main(["validate-similarity", "--spec", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "--similarity-spec", "{spec}", "--epsilon", "1.5"],
+    ["validate-similarity", "--spec", "{spec}"],
+], ids=["detect", "validate-similarity"])
+def test_each_case_table_is_judged_once(sim_spec, caplog, capsys, argv):
+    with caplog.at_level(logging.DEBUG, logger="rsmc.rsm"):
+        assert main([a.format(spec=sim_spec) for a in argv]) == 0
+    checks = [r for r in caplog.records if r.getMessage().startswith("triangle check of a")]
+    assert len(checks) == 2  # one per table of the two-property spec
 
 
 HUGE_INT = int("1" + "0" * 400)

@@ -830,6 +830,17 @@ def test_negative_infinity_entry_is_a_matrix_value_error():
         rsm_from_csv("0,-inf\n1,0\n")
 
 
+@pytest.mark.parametrize("values", [
+    [[0, 10**400], [1, 0]],
+    [[0, 1], [1]],
+    [[0, "x"], [1, 0]],
+    [[0, 1j], [1, 0]],
+], ids=["int-overflow", "ragged", "string", "complex"])
+def test_matrix_entries_that_are_not_reals_raise_matrix_value_error(values):
+    with pytest.raises(MatrixValueError):
+        RsmMatrix(values, "x")
+
+
 @pytest.mark.parametrize("token", ["1e400", "-1e400", "1_0e400", "+2E999"])
 def test_csv_rejects_a_finite_entry_too_large_for_a_float(token):
     with pytest.raises(ParseError, match="too large"):

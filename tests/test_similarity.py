@@ -19,7 +19,6 @@ from rsmc import (
     combine_similarities,
     parse_similarity_json,
     validate_rsm,
-    validate_similarity_table,
 )
 
 from oracles import check_scaling, combine_similarity_oracle
@@ -61,38 +60,36 @@ def spec_from(doc):
 # ---------------------------------------------------------------------------
 
 def test_table_all_pass():
-    report = validate_similarity_table(table(["c1", "c2"], [[0, 1], [1, 0]]))
+    report = table(["c1", "c2"], [[0, 1], [1, 0]]).report
     assert report.all_passed
     assert report.violations == ()
 
 
 def test_table_symmetry_fail():
-    report = validate_similarity_table(table(["c1", "c2"], [[0, 1], [2, 0]]))
+    report = table(["c1", "c2"], [[0, 1], [2, 0]]).report
     assert not report.symmetry
     assert any(v.kind == "asymmetry" and v.where == ("c1", "c2") for v in report.violations)
 
 
 def test_table_coincidence_fail_on_diagonal():
-    report = validate_similarity_table(table(["c1", "c2"], [[0.5, 1], [1, 0]]))
+    report = table(["c1", "c2"], [[0.5, 1], [1, 0]]).report
     assert not report.coincidence
     assert any(v.kind == "diagonal-nonzero" and v.where == ("c1",) for v in report.violations)
 
 
 def test_table_coincidence_fail_off_diagonal_zero():
-    report = validate_similarity_table(table(["c1", "c2"], [[0, 0], [0, 0]]))
+    report = table(["c1", "c2"], [[0, 0], [0, 0]]).report
     assert not report.coincidence
     assert any(v.kind == "offdiagonal-zero" for v in report.violations)
 
 
 def test_table_negative_entry():
-    report = validate_similarity_table(table(["c1", "c2"], [[0, -1], [-1, 0]]))
+    report = table(["c1", "c2"], [[0, -1], [-1, 0]]).report
     assert not report.nonnegativity
 
 
 def test_table_triangle_reported():
-    report = validate_similarity_table(
-        table(["a", "b", "c"], [[0, 1, 3], [1, 0, 1], [3, 1, 0]])
-    )
+    report = table(["a", "b", "c"], [[0, 1, 3], [1, 0, 1], [3, 1, 0]]).report
     assert report.nonnegativity and report.coincidence and report.symmetry
     assert not report.triangle
     assert not report.all_passed
@@ -103,7 +100,7 @@ def test_table_and_matrix_report_the_same_triangle_breaks():
     rng = np.random.RandomState(5)
     vals = np.triu(rng.uniform(0.1, 3.0, (7, 7)), k=1)
     vals += vals.T
-    tol = 1e-8
+    tol = 1e-12  # the slack every case table is judged at
 
     def breaks(violations):
         return [(tuple(str(x) for x in v.where), v.magnitude)
@@ -112,13 +109,13 @@ def test_table_and_matrix_report_the_same_triangle_breaks():
     from_matrix = breaks(validate_rsm(RsmMatrix(values=vals, source_rsm="external"),
                                       tol=tol).violations)
     cases = [str(i) for i in range(len(vals))]
-    from_table = breaks(validate_similarity_table(table(cases, vals), tol=tol).violations)
+    from_table = breaks(table(cases, vals).report.violations)
     assert len(from_matrix) > 2
     assert from_table == from_matrix
 
 
 def test_table_asymmetry_near_float_max_warns_nothing():
-    report = validate_similarity_table(table(["a", "b"], [[0.0, 1e308], [-1e308, 0.0]]))
+    report = table(["a", "b"], [[0.0, 1e308], [-1e308, 0.0]]).report
     assert [(v.where, v.magnitude) for v in report.violations if v.kind == "asymmetry"] == [
         (("a", "b"), float("inf"))
     ]
@@ -138,6 +135,13 @@ def test_table_structure_errors():
 def test_table_integer_too_large_for_a_float():
     with pytest.raises(InvalidSpecError, match="too large for a float"):
         CaseTable(cases=("a", "b"), values=[[0, 10**400], [10**400, 0]])
+
+
+@pytest.mark.parametrize("rows", [[[0, 1], [1]], [[0, "x"], [1, 0]], [[0, 1j], [1, 0]]],
+                         ids=["ragged", "string", "complex"])
+def test_table_entries_that_are_not_reals_raise_invalid_spec(rows):
+    with pytest.raises(InvalidSpecError, match="reals in rows of one length"):
+        CaseTable(cases=("a", "b"), values=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +231,13 @@ def test_triangle_breaking_table_warns_but_returns(caplog):
     assert m.values[0, 1] == 2 * 3 + 3 * 0.5
 
 
+def test_combine_runs_no_triangle_check(caplog):
+    spec = spec_from(spec_doc())
+    with caplog.at_level(logging.DEBUG, logger="rsmc.rsm"):
+        combine_similarities(spec)
+    assert not [r for r in caplog.records if r.getMessage().startswith("triangle check of a")]
+
+
 def test_combined_strength_too_large_for_a_float_raises():
     doc = spec_doc(weights=(1.0, 1.0))
     doc["tables"]["P1"] = [[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]]
@@ -289,6 +300,14 @@ def test_spec_rejects_axiom_breaking_tables():
     doc["tables"]["P2"] = [[0, -0.5], [-0.5, 0]]
     with pytest.raises(InvalidSpecError, match="negative"):
         spec_from(doc)
+
+
+@pytest.mark.parametrize("raw", [[[0, 1], [1, 0]], np.array([[0.0, 1.0], [1.0, 0.0]]), None],
+                         ids=["list", "array", "none"])
+def test_spec_rejects_a_table_that_is_not_a_case_table(raw):
+    with pytest.raises(InvalidSpecError, match="table for 'P' must be a CaseTable"):
+        SimilaritySpec(properties=("P",), tables={"P": raw}, weights=(1.0,),
+                       assignments={"u": {"P": "a"}})
 
 
 def test_spec_rejects_duplicate_or_missing_structure():
