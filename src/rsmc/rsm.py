@@ -54,6 +54,22 @@ MAX_SHOWN_VIOLATIONS = 10
 _BLOCK_BYTES = 2**19
 
 
+def real_array(values) -> np.ndarray:
+    """A fresh float64 array of ``values``, which must be reals in rows of one length.
+
+    ``np.array(values, dtype=float)`` alone reads a string entry with
+    Python's ``float`` (so ``'1_0'`` is 10) and drops the imaginary part of
+    a complex array; here a string or complex entry raises TypeError and
+    ragged rows ValueError. An integer too large for a float raises
+    OverflowError.
+    """
+    raw = np.asarray(values)
+    if raw.dtype.kind in "USc" or raw.dtype == object and any(
+            isinstance(v, (str, bytes, complex)) for v in raw.flat):
+        raise TypeError("entries must be reals")
+    return raw.astype(float)
+
+
 @dataclass(frozen=True, eq=False)
 class RsmMatrix:
     """Square matrix of relation strength values over extended nonnegative reals.
@@ -73,7 +89,7 @@ class RsmMatrix:
         if not (type(arr) is np.ndarray and arr.dtype == np.float64
                 and not arr.flags.writeable):
             try:
-                arr = np.array(arr, dtype=float)
+                arr = real_array(arr)
             except OverflowError:
                 raise MatrixValueError("matrix holds an integer too large for a float") from None
             except (TypeError, ValueError):
@@ -414,8 +430,18 @@ def _separations_by_cut_vertex(g: Graph) -> Iterator[tuple[int, list[list[int]]]
             yield w, parts
 
 
-def _two_leg_minima(vals: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """best[i, j] = min over k of vals[i, k] + vals[k, j]; also rows per block and workers.
+def _bitwise_symmetric(vals: np.ndarray) -> bool:
+    """Whether a float64 matrix equals its transpose bit for bit.
+
+    A plain ``==`` would not do: it holds between ``0.0`` and ``-0.0``,
+    which ``repr`` spells differently.
+    """
+    bits = vals.view(np.int64)
+    return bool((bits == bits.T).all())
+
+
+def _two_leg_minima(vals: np.ndarray) -> tuple[np.ndarray, int, int, bool]:
+    """best[i, j] = min over k of vals[i, k] + vals[k, j]; also rows per block, workers, symmetry.
 
     Rows are taken in blocks whose running minimum fits in ``_BLOCK_BYTES``,
     so it and the preallocated temporary beside it stay in L2 while k runs
@@ -423,6 +449,12 @@ def _two_leg_minima(vals: np.ndarray) -> tuple[np.ndarray, int, int]:
     process may run on; numpy's ``add`` and ``minimum`` release the GIL.
     Every sum is one float add and a minimum of floats is exact in any
     order, so the result does not depend on the blocking or the workers.
+    Each block runs in a buffer of its own. On a bitwise-symmetric matrix a
+    block computes only the columns from its own first row onward and
+    mirrors them below the diagonal: float addition commutes, so best[j, i]
+    takes the minimum of the same sums in the same order as best[i, j] and
+    equals it bit for bit. The blocks then shrink down the matrix, and the
+    pool hands them out in order, heaviest first.
     """
     n = len(vals)
     rows = max(1, _BLOCK_BYTES // (vals.itemsize * n))
@@ -432,22 +464,27 @@ def _two_leg_minima(vals: np.ndarray) -> tuple[np.ndarray, int, int]:
     except AttributeError:  # no affinity mask on this platform
         cpus = os.cpu_count() or 1
     workers = min(cpus, len(starts))
+    symmetric = _bitwise_symmetric(vals)
     best = np.empty_like(vals)
 
     def fill(start: int) -> None:
+        stop = start + rows
+        first = start if symmetric else 0
         # numpy's error state is per thread: an overflowed sum is +-inf, the right answer
         with np.errstate(over="ignore"):
-            run = best[start:start + rows]
+            legs = vals[start:stop]
+            run = legs[:, :1] + vals[0, first:]
             temp = np.empty_like(run)
-            legs = vals[start:start + rows]
-            np.add(legs[:, :1], vals[0], out=run)
             for k in range(1, n):
-                np.add(legs[:, k:k + 1], vals[k], out=temp)
+                np.add(legs[:, k:k + 1], vals[k, first:], out=temp)
                 np.minimum(run, temp, out=run)
+        best[start:stop, first:] = run
+        if symmetric:
+            best[stop:, start:stop] = run[:, rows:].T
 
     with ThreadPoolExecutor(workers) as pool:
         list(pool.map(fill, starts))
-    return best, rows, workers
+    return best, rows, workers, symmetric
 
 
 def triangle_breaks(vals: np.ndarray, tol: float) -> list[tuple[int, int, int, float]]:
@@ -455,11 +492,13 @@ def triangle_breaks(vals: np.ndarray, tol: float) -> list[tuple[int, int, int, f
 
     Entry (i, j) breaks it when it exceeds the shortest two-leg route
     vals[i, k] + vals[k, j] by more than ``tol``. Breaks come row by row as
-    (i, k, j, excess), k being the first vertex of a shortest route. Logs
-    one DEBUG line: size, blocking, workers, breaks and seconds.
+    (i, k, j, excess), k being the first vertex of a shortest route. A
+    bitwise-symmetric matrix has its shortest routes computed from the upper
+    triangle and mirrored, with the same result. Logs one DEBUG line: size,
+    whether the matrix was symmetric, blocking, workers, breaks and seconds.
     """
     started = time.perf_counter()
-    best, rows, workers = _two_leg_minima(vals)
+    best, rows, workers, symmetric = _two_leg_minima(vals)
     found = []
     with np.errstate(over="ignore"):
         bad = np.isfinite(vals) & ~(vals <= best + tol)
@@ -467,9 +506,9 @@ def triangle_breaks(vals: np.ndarray, tol: float) -> list[tuple[int, int, int, f
             k = int(np.argmin(vals[i] + vals[:, j]))
             found.append((int(i), k, int(j), float(vals[i, j] - best[i, j])))
     log.debug(
-        "triangle check of a %d-vertex matrix in %d-row blocks on %d worker(s): "
-        "%d break(s), %.3f s", len(vals), rows, workers, len(found),
-        time.perf_counter() - started,
+        "triangle check of a %d-vertex %smatrix in %d-row blocks on %d worker(s): "
+        "%d break(s), %.3f s", len(vals), "symmetric " if symmetric else "", rows,
+        workers, len(found), time.perf_counter() - started,
     )
     return found
 
@@ -477,30 +516,38 @@ def triangle_breaks(vals: np.ndarray, tol: float) -> list[tuple[int, int, int, f
 def _check_cut_additivity(vals: np.ndarray, g: Graph, tol: float) -> list[Violation]:
     """Each finite vals[a, b] off vals[a, w] + vals[w, b] by more than tol, w a cut vertex between.
 
-    Each of w's groups is checked against all the other groups at once. The
-    violations come by w, then by the group of a, the group of b, a and b.
+    Each of w's groups is checked against all the other groups at once. On
+    a bitwise-symmetric matrix a group is checked only against the groups
+    after it, and the deviations of the reverse pairs (b, w, a) are read
+    from the same block: the add commutes, so they are equal bit for bit.
+    The violations come by w, then by the group of a, the group of b, a and b.
     """
+    symmetric = _bitwise_symmetric(vals)
     found: list[Violation] = []
     for w, parts in _separations_by_cut_vertex(g):
         members = np.concatenate(parts)
         part_of = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
+        hits = []  # (group of a, group of b, a, b, deviation), per block and direction
         stop = 0
         for part in parts:
             start, stop = stop, stop + len(part)
             a = members[start:stop]
-            b = np.concatenate((members[:start], members[stop:]))
+            others = np.r_[start if symmetric else 0:start, stop:len(members)]
+            b = members[others]
             direct = vals[np.ix_(a, b)]
-            finite = np.isfinite(direct)
             with np.errstate(over="ignore", invalid="ignore"):
-                legs = vals[a, w][:, None] + vals[w, b][None, :]
-                dev = np.where(finite, np.abs(direct - legs), 0.0)
-            i, j = np.nonzero(finite & ~(dev <= tol))
-            b_part = np.concatenate((part_of[:start], part_of[stop:]))[j]
-            order = np.lexsort((b[j], a[i], b_part))
-            for x, y in zip(i[order], j[order]):
-                found.append(
-                    Violation("cut-additivity", (int(a[x]), w, int(b[y])), float(dev[x, y]))
-                )
+                dev = vals[a, w][:, None] + vals[w, b][None, :]
+                np.abs(np.subtract(direct, dev, out=dev), out=dev)
+            i, j = np.nonzero(np.isfinite(direct) & ~(dev <= tol))
+            a_part, b_part = part_of[start + i], part_of[others][j]
+            hits.append((a_part, b_part, a[i], b[j], dev[i, j]))
+            if symmetric:
+                hits.append((b_part, a_part, b[j], a[i], dev[i, j]))
+        a_part, b_part, a_at, b_at, dev = (np.concatenate(column) for column in zip(*hits))
+        for x in np.lexsort((b_at, a_at, b_part, a_part)):
+            found.append(
+                Violation("cut-additivity", (int(a_at[x]), w, int(b_at[x])), float(dev[x]))
+            )
     return found
 
 
@@ -589,9 +636,18 @@ def _row_texts(m: RsmMatrix) -> list[str]:
     """Each row as its entries' shortest round-trip reprs joined by ", "; +inf is ``inf``.
 
     ``str`` of a list of Python floats formats every entry with ``repr``,
-    exactly as ``json.dumps`` writes a finite float, at C speed.
+    exactly as ``json.dumps`` writes a finite float, at C speed. A
+    bitwise-symmetric matrix formats only its upper triangle, diagonal
+    included, and mirrors those texts through an object array; no repr
+    contains ", ", so splitting on it recovers each entry's text.
     """
-    return [str(row)[1:-1] for row in m.values.tolist()]
+    vals = m.values
+    if not _bitwise_symmetric(vals):
+        return [str(row)[1:-1] for row in vals.tolist()]
+    upper = np.triu_indices(len(vals))
+    texts = np.empty(vals.shape, dtype=object)
+    texts[upper] = texts.T[upper] = str(vals[upper].tolist())[1:-1].split(", ")
+    return [", ".join(row) for row in texts.tolist()]
 
 
 def rsm_to_csv(m: RsmMatrix) -> str:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidSpecError, NumericalError, ParseError
-from .rsm import SIMILARITY_TAG, RsmMatrix, Violation, triangle_breaks
+from .rsm import SIMILARITY_TAG, RsmMatrix, Violation, real_array, triangle_breaks
 
 log = logging.getLogger(__name__)
 
@@ -44,7 +45,7 @@ class CaseTable:
         if len(set(cases)) != len(cases):
             raise InvalidSpecError(f"duplicate case names in {cases}")
         try:
-            arr = np.array(self.values, dtype=float)
+            arr = real_array(self.values)
         except OverflowError:
             raise InvalidSpecError("table holds an integer too large for a float") from None
         except (TypeError, ValueError):
@@ -184,6 +185,11 @@ class SimilaritySpec:
             raise InvalidSpecError("at least one weight must be positive")
         object.__setattr__(self, "weights", weights)
 
+        if not isinstance(self.assignments, Mapping) or not all(
+                isinstance(cases, Mapping) for cases in self.assignments.values()):
+            raise InvalidSpecError(
+                "assignments must map vertex labels to {property: case} mappings"
+            )
         if not self.assignments:
             raise InvalidSpecError("at least one vertex assignment is required")
         for label, cases in self.assignments.items():

@@ -1,5 +1,5 @@
 """Package layout: no private names cross modules, rsmc exports what it binds, no test-only code,
-diagnostics only through logging."""
+diagnostics only through logging, no settings read from the environment."""
 
 import ast
 import re
@@ -55,3 +55,17 @@ def test_no_module_imports_warnings():
                      else [node.module] if isinstance(node, ast.ImportFrom) else [])
             importers += [path.name for name in names if name == "warnings"]
     assert importers == []
+
+
+def test_no_module_reads_the_environment():
+    # behaviour follows from arguments and inputs, never from a hidden knob
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                readers.append(f"{path.name}:{node.lineno}: os.{node.attr}")
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                readers += [f"{path.name}:{node.lineno}: from os import {alias.name}"
+                            for alias in node.names if alias.name in ("environ", "getenv")]
+    assert readers == []

@@ -444,25 +444,58 @@ def _hostile_matrix(rng, n):
     return vals
 
 
+def _mirrored(vals):
+    """The matrix with its upper triangle copied below the diagonal, bit for bit."""
+    vals = vals.copy()
+    upper = np.triu_indices(len(vals))
+    vals.T[upper] = vals[upper]
+    return vals
+
+
+def _almost_symmetric(rng, n):
+    """Symmetric hostile matrices each off by one entry: its last bit, or the sign of a zero."""
+    vals = _mirrored(_hostile_matrix(rng, n))
+    i, j = np.nonzero(np.isfinite(vals) & (vals != 0.0) & ~np.eye(n, dtype=bool))
+    last_bit = vals.copy()
+    last_bit[i[0], j[0]] = np.nextafter(last_bit[i[0], j[0]], math.inf)
+    signed_zero = vals.copy()
+    signed_zero[0, 1], signed_zero[1, 0] = 0.0, -0.0
+    return {"last-bit": last_bit, "signed-zero": signed_zero}
+
+
 @pytest.mark.parametrize("n", [1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 2])
 @pytest.mark.parametrize("tol", [1e-8, 0.1, 1.0])
 def test_triangle_breaks_match_the_triple_loop(monkeypatch, n, tol):
     monkeypatch.setattr("rsmc.rsm._BLOCK_BYTES", BLOCK_ROWS * 8 * n)
     rng = np.random.RandomState(n)
     for _ in range(5):
-        vals = _hostile_matrix(rng, n)
-        expected = triangle_breaks_oracle(vals, tol)
-        for cpus in (1, 4, None):  # one worker, a pool, no affinity mask
-            with monkeypatch.context() as patch:
-                _set_cpus(patch, cpus)
-                assert triangle_breaks(vals, tol) == expected
+        hostile = _hostile_matrix(rng, n)
+        for vals in (hostile, _mirrored(hostile)):  # the general path, the symmetric one
+            expected = triangle_breaks_oracle(vals, tol)
+            for cpus in (1, 4, None):  # one worker, a pool, no affinity mask
+                with monkeypatch.context() as patch:
+                    _set_cpus(patch, cpus)
+                    assert triangle_breaks(vals, tol) == expected
 
 
 def test_triangle_breaks_match_the_triple_loop_over_two_default_blocks(caplog):
-    vals = _hostile_matrix(np.random.RandomState(257), 257)
+    hostile = _hostile_matrix(np.random.RandomState(257), 257)
+    for vals, kind in ((hostile, ""), (_mirrored(hostile), "symmetric ")):
+        with caplog.at_level(logging.DEBUG, logger="rsmc.rsm"):
+            assert triangle_breaks(vals, 1e-8) == triangle_breaks_oracle(vals, 1e-8)
+        assert f"257-vertex {kind}matrix in 255-row blocks" in caplog.records[-1].getMessage()
+
+
+@pytest.mark.parametrize("case", ["last-bit", "signed-zero"])
+def test_triangle_breaks_of_an_almost_symmetric_matrix_take_the_general_path(
+        monkeypatch, caplog, case):
+    monkeypatch.setattr("rsmc.rsm._BLOCK_BYTES", BLOCK_ROWS * 8 * 14)
+    _set_cpus(monkeypatch, 2)
+    vals = _almost_symmetric(np.random.RandomState(14), 14)[case]
     with caplog.at_level(logging.DEBUG, logger="rsmc.rsm"):
-        assert triangle_breaks(vals, 1e-8) == triangle_breaks_oracle(vals, 1e-8)
-    assert "257-vertex matrix in 255-row blocks" in caplog.records[-1].getMessage()
+        for tol in (1e-8, 0.1, 1.0):
+            assert triangle_breaks(vals, tol) == triangle_breaks_oracle(vals, tol)
+    assert all("14-vertex matrix" in r.getMessage() for r in caplog.records)
 
 
 def test_triangle_check_logs_one_debug_line(monkeypatch, caplog):
@@ -484,7 +517,7 @@ def test_triangle_check_logs_one_debug_line(monkeypatch, caplog):
     assert len(lines) == len(blockings)
     for line, blocking in zip(lines, blockings):
         head, seconds = line.rsplit(", ", 1)
-        assert head == f"triangle check of a 3-vertex matrix in {blocking}: 2 break(s)"
+        assert head == f"triangle check of a 3-vertex symmetric matrix in {blocking}: 2 break(s)"
         assert float(seconds.removesuffix(" s")) >= 0
 
 
@@ -598,14 +631,24 @@ def _directed_chain_of_cycles():
 def test_cut_additivity_matches_pairwise_oracle(make):
     rng = np.random.RandomState(7)
     g = make(rng)
-    vals = sdf_matrix(g).values.copy()
     n = g.vertex_count
-    for _ in range(50):
-        i, j = rng.randint(n, size=2)
-        vals[i, j] = (vals[i, j] + rng.uniform(-0.5, 0.5), np.inf, 1e308, 0.0)[rng.randint(4)]
-    found = _check_cut_additivity(vals, g, 1e-9)
-    assert found == pairwise_cut_additivity(vals, g, 1e-9)
-    assert len(found) > 20
+    exact = sdf_matrix(g).values
+    for mirror in (False, True):  # on the undirected graphs, the general path and the symmetric one
+        vals = exact.copy()
+        for _ in range(50):
+            i, j = rng.randint(n, size=2)
+            vals[i, j] = (vals[i, j] + rng.uniform(-0.5, 0.5), np.inf, 1e308, 0.0)[rng.randint(4)]
+            if mirror:
+                vals[j, i] = vals[i, j]
+        found = _check_cut_additivity(vals, g, 1e-9)
+        assert found == pairwise_cut_additivity(vals, g, 1e-9)
+        assert len(found) > 20
+    # a passing matrix, and ones off symmetric in one last bit or in one zero's sign
+    last_bit, signed_zero = exact.copy(), exact.copy()
+    last_bit[1, n - 1] = np.nextafter(exact[1, n - 1], 0.0)
+    signed_zero[1, n - 1], signed_zero[n - 1, 1] = 0.0, -0.0
+    for vals in (exact, last_bit, signed_zero):
+        assert _check_cut_additivity(vals, g, 1e-9) == pairwise_cut_additivity(vals, g, 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -835,7 +878,9 @@ def test_negative_infinity_entry_is_a_matrix_value_error():
     [[0, 1], [1]],
     [[0, "x"], [1, 0]],
     [[0, 1j], [1, 0]],
-], ids=["int-overflow", "ragged", "string", "complex"])
+    [[0, "1_0"], ["\u0663", 0]],
+    np.array([[0, 1 + 2j], [1, 0]]),
+], ids=["int-overflow", "ragged", "string", "complex", "numeric-strings", "complex-array"])
 def test_matrix_entries_that_are_not_reals_raise_matrix_value_error(values):
     with pytest.raises(MatrixValueError):
         RsmMatrix(values, "x")
@@ -870,7 +915,13 @@ def _writer_cases():
         [5e-324, -0.0, 1.5e-7],
         [np.inf, 123456789012345678.0, 0.1],
     ])
+    directed = Graph(3, ((0, 1, 0.5), (1, 2, 0.25), (2, 0, 1.0)), True)
     return {
+        **{f"almost-symmetric-{case}": RsmMatrix(vals, "external") for case, vals
+           in _almost_symmetric(np.random.RandomState(9), 9).items()},
+        "directed-sdf": sdf_matrix(directed),
+        "symmetric-hostile": RsmMatrix(_mirrored(_hostile_matrix(np.random.RandomState(9), 9)),
+                                       "external"),
         "karate-sdf": sdf_matrix(karate),
         "karate-erf": erf_matrix(karate),
         "disconnected-inf": sdf_matrix(two_pairs),

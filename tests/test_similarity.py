@@ -137,8 +137,13 @@ def test_table_integer_too_large_for_a_float():
         CaseTable(cases=("a", "b"), values=[[0, 10**400], [10**400, 0]])
 
 
-@pytest.mark.parametrize("rows", [[[0, 1], [1]], [[0, "x"], [1, 0]], [[0, 1j], [1, 0]]],
-                         ids=["ragged", "string", "complex"])
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [1]],
+    [[0, "x"], [1, 0]],
+    [[0, 1j], [1, 0]],
+    [[0, "0_5"], ["0_5", 0]],
+    np.array([[0, 1 + 2j], [1 + 2j, 0]]),
+], ids=["ragged", "string", "complex", "numeric-string", "complex-array"])
 def test_table_entries_that_are_not_reals_raise_invalid_spec(rows):
     with pytest.raises(InvalidSpecError, match="reals in rows of one length"):
         CaseTable(cases=("a", "b"), values=rows)
@@ -308,6 +313,15 @@ def test_spec_rejects_a_table_that_is_not_a_case_table(raw):
     with pytest.raises(InvalidSpecError, match="table for 'P' must be a CaseTable"):
         SimilaritySpec(properties=("P",), tables={"P": raw}, weights=(1.0,),
                        assignments={"u": {"P": "a"}})
+
+
+@pytest.mark.parametrize("assignments", [[("u", {"P": "a"})], {"u": ["P"]}],
+                         ids=["list-of-pairs", "list-of-properties"])
+def test_spec_rejects_assignments_that_are_not_mappings(assignments):
+    table = CaseTable(cases=("a",), values=[[0.0]])
+    with pytest.raises(InvalidSpecError, match="assignments must map vertex labels"):
+        SimilaritySpec(properties=("P",), tables={"P": table}, weights=(1.0,),
+                       assignments=assignments)
 
 
 def test_spec_rejects_duplicate_or_missing_structure():
