@@ -10,6 +10,7 @@ memory too), 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 import time
@@ -29,7 +30,7 @@ from .community import (
 )
 from .datasets import builtin_dataset_names, load_builtin_dataset
 from .errors import InvalidSpecError, NumericalError, ParseError, RsmcError
-from .graph import Graph, parse_edge_list
+from .graph import Graph, is_ascii_number, parse_edge_list
 from .rsm import (
     AXIOM_TOL,
     RsmMatrix,
@@ -173,13 +174,21 @@ def _write_out(text: str, out_path: str | None) -> None:
 MAX_SWEEP_EPSILONS = 1_000_000
 
 
+def _number(text: str) -> float:
+    """``float(text)`` of an ASCII number without ``_`` separators, the spelling files take."""
+    if is_ascii_number(text):
+        with contextlib.suppress(ValueError):
+            return float(text)
+    raise argparse.ArgumentTypeError(f"bad number {text!r}")
+
+
 def _parse_sweep(arg: str) -> list[float]:
     parts = arg.split(":")
     if len(parts) != 3:
         raise ParseError(f"sweep must look like lo:hi:step, got {arg!r}")
     try:
-        lo, hi, step = (float(p) for p in parts)
-    except ValueError:
+        lo, hi, step = (_number(p) for p in parts)
+    except argparse.ArgumentTypeError:
         raise ParseError(f"sweep bounds must be numbers, got {arg!r}") from None
     if not all(math.isfinite(x) for x in (lo, hi, step)):
         raise ParseError(f"sweep bounds must be finite, got {arg!r}")
@@ -302,7 +311,7 @@ def cmd_validate_similarity(args: argparse.Namespace) -> int:
         triangle_note = "" if report.triangle else " (triangle inequality violated)"
         print(f"table {prop!r}: {status}{triangle_note}")
         for v in report.violations:
-            print(f"  {v.kind} at {v.where}: {v.magnitude:g}")
+            print(f"  {v}")
     try:
         SimilaritySpec(properties=props, tables=tables, weights=weights,
                        assignments=assignments)
@@ -320,8 +329,15 @@ def cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as one ``error:`` line and exit 2; subcommand parsers inherit it."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rsmc",
         description="Community detection from relation strength matrices.",
     )
@@ -329,11 +345,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     detect = subs.add_parser("detect", help="find all maximal communities")
     _rsm_args(detect)
-    detect.add_argument("--epsilon", type=float, default=None,
+    detect.add_argument("--epsilon", type=_number, default=None,
                         help="community parameter: pairs relate iff strength <= epsilon")
     detect.add_argument("--epsilon-sweep", metavar="LO:HI:STEP", default=None,
                         help="emit community counts per epsilon as CSV instead")
-    detect.add_argument("--tol", type=float, default=REFINE_TOL,
+    detect.add_argument("--tol", type=_number, default=REFINE_TOL,
                         help="additive comparison slack (default %(default)g)")
     detect.add_argument("--format", choices=("json", "dot", "csv"), default=None,
                         help="output format (default json; a sweep writes csv only)")
@@ -350,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vrsm.add_argument("--matrix", metavar="FILE", required=True,
                       help="matrix file (CSV or JSON)")
     _graph_args(vrsm)
-    vrsm.add_argument("--tol", type=float, default=AXIOM_TOL,
+    vrsm.add_argument("--tol", type=_number, default=AXIOM_TOL,
                       help="axiom tolerance (default %(default)g)")
     vrsm.set_defaults(func=cmd_validate_rsm)
 

@@ -313,6 +313,24 @@ class Violation:
     where: tuple
     magnitude: float
 
+    def __str__(self) -> str:
+        return f"{self.kind} at {self.where}: {self.magnitude:g}"
+
+
+def violations_at(kind: str, bad: np.ndarray, magnitude, names=None) -> list[Violation]:
+    """A ``kind`` Violation at each True entry of the mask ``bad``, in row-major order.
+
+    ``where`` holds the entry's indices as Python ints, or ``names[i]`` for
+    each index i when ``names`` is given. The magnitude is the Python float
+    of ``magnitude`` at that entry; a scalar counts for every entry.
+    """
+    at = np.nonzero(bad)
+    spots = zip(*(index.tolist() for index in at))
+    if names is not None:
+        spots = (tuple(names[i] for i in spot) for spot in spots)
+    sizes = np.broadcast_to(magnitude, bad.shape)[at].tolist()
+    return [Violation(kind, where, size) for where, size in zip(spots, sizes)]
+
 
 @dataclass(frozen=True)
 class RsmValidationReport:
@@ -352,8 +370,7 @@ class RsmValidationReport:
         ]
         if self.violations:
             lines.append(f"{len(self.violations)} violation(s), tol={self.tol:g}:")
-            for v in self.violations[:MAX_SHOWN_VIOLATIONS]:
-                lines.append(f"  {v.kind} at {v.where}: {v.magnitude:g}")
+            lines += [f"  {v}" for v in self.violations[:MAX_SHOWN_VIOLATIONS]]
             if len(self.violations) > MAX_SHOWN_VIOLATIONS:
                 lines.append(f"  ... {len(self.violations) - MAX_SHOWN_VIOLATIONS} more")
         return lines
@@ -556,10 +573,11 @@ def validate_rsm(m: RsmMatrix, g: Graph | None = None, tol: float = AXIOM_TOL) -
 
     Checks non-negativity, the coincidence axiom (zero diagonal within tol,
     off-diagonal strictly above tol), the disconnection pattern (+inf exactly
-    on cross-component pairs, undirected reachability), the triangle
-    inequality over all finite triples together with additivity through every
-    cut vertex, and symmetry. The pattern and cut-vertex checks need the
-    source graph and are skipped when ``g`` is None; symmetry is skipped for
+    where j is unreachable from i: across components of an undirected graph,
+    against the edges' direction on a directed one), the triangle inequality
+    over all finite triples together with additivity through every cut
+    vertex, and symmetry. The pattern and cut-vertex checks need the source
+    graph and are skipped when ``g`` is None; symmetry is skipped for
     directed graphs.
     """
     if not (math.isfinite(tol) and tol > 0):
@@ -570,61 +588,41 @@ def validate_rsm(m: RsmMatrix, g: Graph | None = None, tol: float = AXIOM_TOL) -
         raise DimensionMismatchError(
             f"matrix is {n}x{n} but the graph has {g.vertex_count} vertices"
         )
-    violations: list[Violation] = []
-
-    neg = vals < -tol
-    for i, j in zip(*np.nonzero(neg)):
-        violations.append(Violation("negative", (int(i), int(j)), float(vals[i, j])))
-    nonnegativity = not neg.any()
-
+    negative = violations_at("negative", vals < -tol, vals)
     diag = np.diag(vals)
-    diag_bad = ~(np.abs(diag) <= tol)
-    for i in np.nonzero(diag_bad)[0]:
-        violations.append(Violation("diagonal-nonzero", (int(i),), float(diag[i])))
-    off = ~np.eye(n, dtype=bool)
-    off_bad = off & ~(vals > tol)
-    for i, j in zip(*np.nonzero(off_bad)):
-        violations.append(Violation("offdiagonal-zero", (int(i), int(j)), float(vals[i, j])))
-    coincidence = not (diag_bad.any() or off_bad.any())
+    diagonal = violations_at("diagonal-nonzero", ~(np.abs(diag) <= tol), diag)
+    offdiagonal = violations_at("offdiagonal-zero", ~(vals > tol) & ~np.eye(n, dtype=bool), vals)
 
-    connectivity: bool | None = None
+    pattern = None
     if g is not None:
-        assignment = np.asarray(connected_components(g).assignment)
-        cross = assignment[:, None] != assignment[None, :]
-        pattern_bad = np.isinf(vals) != cross
-        for i, j in zip(*np.nonzero(pattern_bad)):
-            violations.append(Violation("infinity-pattern", (int(i), int(j)), float(vals[i, j])))
-        connectivity = not pattern_bad.any()
+        if g.directed:
+            apart = np.isinf(dijkstra(edge_csr(g), directed=True, unweighted=True))
+        else:
+            assignment = np.asarray(connected_components(g).assignment)
+            apart = assignment[:, None] != assignment[None, :]
+        pattern = violations_at("infinity-pattern", np.isinf(vals) != apart, vals)
 
-    breaks = triangle_breaks(vals, tol)
-    violations.extend(Violation("triangle", (i, k, j), excess) for i, k, j, excess in breaks)
-    triangle_ok = not breaks
+    triangle = [Violation("triangle", (i, k, j), excess)
+                for i, k, j, excess in triangle_breaks(vals, tol)]
     if g is not None:
-        cut_violations = _check_cut_additivity(vals, g, tol)
-        violations.extend(cut_violations)
-        triangle_ok = triangle_ok and not cut_violations
+        triangle += _check_cut_additivity(vals, g, tol)
 
-    symmetry: bool | None = None
+    asymmetry = None
     if g is None or not g.directed:
-        inf_mask = np.isinf(vals)
-        finite_both = ~inf_mask & ~inf_mask.T
-        # an overflowed difference is +inf, the right gap
         with np.errstate(over="ignore", invalid="ignore"):
-            asym = (inf_mask != inf_mask.T) | (finite_both & ~(np.abs(vals - vals.T) <= tol))
-            asym &= np.triu(np.ones((n, n), dtype=bool), k=1)
-            for i, j in zip(*np.nonzero(asym)):
-                gap = float(abs(vals[i, j] - vals[j, i])) if finite_both[i, j] else math.inf
-                violations.append(Violation("asymmetry", (int(i), int(j)), gap))
-        symmetry = not asym.any()
+            gap = np.abs(vals - vals.T)  # an overflowed difference is +inf, the right gap
+        gap[np.isnan(gap)] = 0.0  # inf - inf: both entries +inf, which agree
+        asymmetry = violations_at("asymmetry", np.triu(~(gap <= tol), k=1), gap)
 
     return RsmValidationReport(
         tol=tol,
-        nonnegativity=nonnegativity,
-        coincidence=coincidence,
-        connectivity=connectivity,
-        triangle=triangle_ok,
-        symmetry=symmetry,
-        violations=tuple(violations),
+        nonnegativity=not negative,
+        coincidence=not (diagonal or offdiagonal),
+        connectivity=None if pattern is None else not pattern,
+        triangle=not triangle,
+        symmetry=None if asymmetry is None else not asymmetry,
+        violations=tuple(chain(negative, diagonal, offdiagonal, pattern or (), triangle,
+                               asymmetry or ())),
     )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidSpecError, NumericalError, ParseError
-from .rsm import SIMILARITY_TAG, RsmMatrix, Violation, real_array, triangle_breaks
+from .rsm import SIMILARITY_TAG, RsmMatrix, Violation, real_array, triangle_breaks, violations_at
 
 log = logging.getLogger(__name__)
 
@@ -91,41 +91,22 @@ class TableReport:
 
 def _judge(names: tuple[str, ...], vals: np.ndarray) -> TableReport:
     """Report-only check of a case table's entries against the similarity axioms."""
-    n = len(names)
-    violations: list[Violation] = []
-
-    for i, j in zip(*np.nonzero(vals < 0)):
-        violations.append(Violation("negative", (names[i], names[j]), float(vals[i, j])))
-    nonnegativity = not violations
-
-    coincidence = True
-    for i in range(n):
-        if vals[i, i] != 0.0:
-            violations.append(Violation("diagonal-nonzero", (names[i],), float(vals[i, i])))
-            coincidence = False
-    zero_off = (vals == 0.0) & ~np.eye(n, dtype=bool)
-    for i, j in zip(*np.nonzero(zero_off)):
-        violations.append(Violation("offdiagonal-zero", (names[i], names[j]), 0.0))
-        coincidence = False
-
-    asym = np.triu(vals != vals.T, k=1)
+    negative = violations_at("negative", vals < 0, vals, names)
+    diag = np.diag(vals)
+    diagonal = violations_at("diagonal-nonzero", diag != 0.0, diag, names)
+    zero_off = (vals == 0.0) & ~np.eye(len(names), dtype=bool)
+    offdiagonal = violations_at("offdiagonal-zero", zero_off, 0.0, names)
     with np.errstate(over="ignore"):  # an overflowed difference is +inf, the right gap
-        for i, j in zip(*np.nonzero(asym)):
-            violations.append(
-                Violation("asymmetry", (names[i], names[j]), float(abs(vals[i, j] - vals[j, i])))
-            )
-    symmetry = not asym.any()
-
-    breaks = triangle_breaks(vals, TRIANGLE_SLACK)
-    for i, k, j, excess in breaks:
-        violations.append(Violation("triangle", (names[i], names[k], names[j]), excess))
-
+        gap = np.abs(vals - vals.T)
+    asymmetry = violations_at("asymmetry", np.triu(vals != vals.T, k=1), gap, names)
+    triangle = [Violation("triangle", (names[i], names[k], names[j]), excess)
+                for i, k, j, excess in triangle_breaks(vals, TRIANGLE_SLACK)]
     return TableReport(
-        nonnegativity=nonnegativity,
-        coincidence=coincidence,
-        symmetry=symmetry,
-        triangle=not breaks,
-        violations=tuple(violations),
+        nonnegativity=not negative,
+        coincidence=not (diagonal or offdiagonal),
+        symmetry=not asymmetry,
+        triangle=not triangle,
+        violations=tuple(negative + diagonal + offdiagonal + asymmetry + triangle),
     )
 
 

@@ -7,7 +7,9 @@ instead of vectorized table lookups and thresholding, an edge loop instead
 of scattered Laplacian entries, vertex-by-vertex removal instead of
 low-links, a breadth-first search instead of scipy's component labelling,
 a loop over edges instead of array checks on a Graph's edges, a loop over
-ordered pairs of separated groups instead of one block per group,
+ordered pairs of separated groups instead of one block per group, a loop
+over entries instead of masks for the other axiom checks, a breadth-first
+search from every vertex instead of unweighted Dijkstra for reachability,
 every vertex subset instead of a pivoted clique search, a triple loop over
 Python floats instead of blocked array minima, and ``json.dumps`` instead of
 string building. Deliberately slow and simple.
@@ -322,6 +324,114 @@ def pairwise_cut_additivity(vals, g, tol: float) -> list:
                         Violation("cut-additivity", (int(a[i]), w, int(b[j])), float(dev[i, j]))
                     )
     return found
+
+
+def reachable_sets(g) -> list[set[int]]:
+    """For each vertex i, the vertices a breadth-first search from i reaches along the edges.
+
+    An undirected graph's edges are walked both ways; a directed graph's only from src to dst.
+    """
+    out: list[set[int]] = [set() for _ in range(g.vertex_count)]
+    for src, dst, _ in g.edges:
+        out[src].add(dst)
+        if not g.directed:
+            out[dst].add(src)
+    reach = []
+    for start in range(g.vertex_count):
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            for w in out[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        reach.append(seen)
+    return reach
+
+
+def loop_rsm_violations(vals, g, tol: float) -> dict[str, list]:
+    """``validate_rsm``'s entrywise checks, one entry at a time over Python floats.
+
+    Maps each kind that applies to its violations, row by row: "negative",
+    "diagonal-nonzero", "offdiagonal-zero", "infinity-pattern" (only with a
+    graph; +inf must sit exactly where ``reachable_sets`` misses j from i)
+    and "asymmetry" (not on a directed graph; the gap of a pair with one
+    +inf entry is +inf, and two +inf entries agree). The triangle and
+    cut-additivity violations come from ``triangle_breaks_oracle`` and
+    ``pairwise_cut_additivity``.
+    """
+    rows = [[float(v) for v in row] for row in vals]
+    n = len(rows)
+    found: dict[str, list] = {"negative": [], "diagonal-nonzero": [], "offdiagonal-zero": []}
+    for i in range(n):
+        for j in range(n):
+            if rows[i][j] < -tol:
+                found["negative"].append(Violation("negative", (i, j), rows[i][j]))
+    for i in range(n):
+        if not abs(rows[i][i]) <= tol:
+            found["diagonal-nonzero"].append(Violation("diagonal-nonzero", (i,), rows[i][i]))
+    for i in range(n):
+        for j in range(n):
+            if i != j and not rows[i][j] > tol:
+                found["offdiagonal-zero"].append(Violation("offdiagonal-zero", (i, j), rows[i][j]))
+    if g is not None:
+        reach = reachable_sets(g)
+        found["infinity-pattern"] = []
+        for i in range(n):
+            for j in range(n):
+                if math.isinf(rows[i][j]) != (j not in reach[i]):
+                    found["infinity-pattern"].append(
+                        Violation("infinity-pattern", (i, j), rows[i][j]))
+    if g is None or not g.directed:
+        found["asymmetry"] = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                a, b = rows[i][j], rows[j][i]
+                if math.isinf(a) and math.isinf(b):
+                    continue
+                gap = math.inf if math.isinf(a) or math.isinf(b) else abs(a - b)
+                if not gap <= tol:
+                    found["asymmetry"].append(Violation("asymmetry", (i, j), gap))
+    return found
+
+
+def loop_table_violations(names, vals) -> dict[str, list]:
+    """A case table's entrywise checks, one entry at a time over Python floats.
+
+    Maps "negative", "diagonal-nonzero", "offdiagonal-zero" (magnitude 0.0,
+    whatever the sign of the zero) and "asymmetry" to their violations, row
+    by row, each place named by its cases. The triangle violations come from
+    ``triangle_breaks_oracle``.
+    """
+    rows = [[float(v) for v in row] for row in vals]
+    n = len(rows)
+    found: dict[str, list] = {
+        "negative": [], "diagonal-nonzero": [], "offdiagonal-zero": [], "asymmetry": [],
+    }
+    for i in range(n):
+        for j in range(n):
+            if rows[i][j] < 0:
+                found["negative"].append(Violation("negative", (names[i], names[j]), rows[i][j]))
+    for i in range(n):
+        if rows[i][i] != 0.0:
+            found["diagonal-nonzero"].append(Violation("diagonal-nonzero", (names[i],), rows[i][i]))
+    for i in range(n):
+        for j in range(n):
+            if i != j and rows[i][j] == 0.0:
+                found["offdiagonal-zero"].append(
+                    Violation("offdiagonal-zero", (names[i], names[j]), 0.0))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                found["asymmetry"].append(
+                    Violation("asymmetry", (names[i], names[j]), abs(rows[i][j] - rows[j][i])))
+    return found
+
+
+def exact_violations(violations) -> list[tuple]:
+    """Each violation as kind, places with their types, and the magnitude's type and bits."""
+    return [(v.kind, tuple((type(x), x) for x in v.where), type(v.magnitude), v.magnitude.hex())
+            for v in violations]
 
 
 def json_dumps_rsm(m) -> str:

@@ -165,6 +165,52 @@ def test_detect_sweep_malformed(path3, capsys):
                  "--epsilon-sweep", "2:0:1"]) == 2
 
 
+def exit_code(argv):
+    """What ``main`` returns, or the code of the SystemExit that argument parsing raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "--input", "{path3}", "--rsm", "sdf", "--epsilon", "1_5"],
+    ["detect", "--input", "{path3}", "--rsm", "sdf", "--epsilon", "\u0661.\u0665"],
+    ["detect", "--input", "{path3}", "--rsm", "sdf", "--epsilon-sweep", "0:2_5:1"],
+    ["detect", "--input", "{path3}", "--rsm", "sdf", "--epsilon-sweep", "0:\u0662:1"],
+    ["detect", "--input", "{path3}", "--rsm", "sdf", "--epsilon", "abc"],
+    ["detect", "--input", "{path3}", "--rsm", "sdf", "--epsilon", "1", "--tol", "1_0"],
+    ["validate-rsm", "--matrix", "{matrix}", "--tol", "1_0"],
+    ["frobnicate"],
+    [],
+], ids=["epsilon-separator", "epsilon-arabic-indic", "sweep-separator", "sweep-arabic-indic",
+        "epsilon-word", "detect-tol-separator", "validate-rsm-tol-separator",
+        "unknown-command", "no-command"])
+def test_bad_argument_is_one_error_line(path3, tmp_path, capsys, argv):
+    # numbers on the command line follow the spelling rule of numbers in files
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("0,1\n1,0\n")
+    assert exit_code([a.format(path3=path3, matrix=matrix) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+def test_help_still_prints_usage(capsys):
+    assert exit_code(["detect", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: rsmc detect")
+
+
+def test_validate_rsm_follows_edge_direction(tmp_path, capsys):
+    edges = tmp_path / "path.tsv"
+    edges.write_text("a\tb\nb\tc\n")
+    matrix = str(tmp_path / "m.csv")
+    assert main(["matrix", "--input", str(edges), "--directed", "--rsm", "sdf",
+                 "--out", matrix]) == 0
+    assert main(["validate-rsm", "--matrix", matrix, "--input", str(edges), "--directed"]) == 0
+    assert "disconnection pattern:     pass" in capsys.readouterr().out
+
+
 @contextlib.contextmanager
 def address_space_cap(headroom: int = 512 << 20):
     """Cap this process's address space ``headroom`` bytes above its current size.

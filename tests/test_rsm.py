@@ -55,8 +55,10 @@ from oracles import (
     check_scaling,
     csv_join_rsm,
     edge_loop_laplacian,
+    exact_violations,
     floyd_warshall_distances,
     json_dumps_rsm,
+    loop_rsm_violations,
     pairwise_cut_additivity,
     resistance_matrix_oracle,
     scale_weights,
@@ -544,6 +546,74 @@ def test_validation_near_float_max_warns_nothing(monkeypatch):
         [1.0, 1.0, 0.0],
     ])
     assert (0, 1, 2, math.inf) in triangle_breaks(vals, 1e-8)
+
+
+#: Entries that probe each check's edge: signed zeros, one within tol, +inf, near float max.
+HOSTILE_ENTRIES = [-1.0, -0.0, 0.0, 1e-9, 0.5, 1.0, 2.0, math.inf, 1e308, -1e308, 1.7e308]
+
+
+def _hostile_rsm(rng, g):
+    """A graph's sdf matrix or uniform noise, some entries hostile, mirrored half the time."""
+    n = g.vertex_count
+    vals = sdf_matrix(g).values.copy() if rng.rand() < 0.5 else rng.uniform(-1.0, 3.0, (n, n))
+    spots = rng.random_sample((n, n)) < rng.uniform(0.0, 0.6)
+    vals[spots] = rng.choice(HOSTILE_ENTRIES, spots.sum())
+    return _mirrored(vals) if rng.rand() < 0.5 else vals
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["none", "undirected", "directed"]))
+def test_validation_matches_the_entry_loops(seed, graph):
+    rng = np.random.RandomState(seed)
+    g = random_graph(rng, n_max=7, directed=graph == "directed")
+    m = RsmMatrix(_hostile_rsm(rng, g), "external")
+    if graph == "none":
+        g = None
+    for tol in (1e-8, 0.5):
+        found = loop_rsm_violations(m.values, g, tol)
+        pattern, asymmetry = found.get("infinity-pattern"), found.get("asymmetry")
+        triangle = [Violation("triangle", (i, k, j), excess)
+                    for i, k, j, excess in triangle_breaks_oracle(m.values, tol)]
+        triangle += [] if g is None else pairwise_cut_additivity(m.values, g, tol)
+        report = validate_rsm(m, g, tol)
+        assert exact_violations(report.violations) == exact_violations(
+            found["negative"] + found["diagonal-nonzero"] + found["offdiagonal-zero"]
+            + (pattern or []) + triangle + (asymmetry or []))
+        assert (report.nonnegativity, report.coincidence, report.connectivity, report.triangle,
+                report.symmetry) == (
+            not found["negative"],
+            not (found["diagonal-nonzero"] or found["offdiagonal-zero"]),
+            None if pattern is None else not pattern,
+            not triangle,
+            None if asymmetry is None else not asymmetry,
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_validation_passes_sdf_of_a_directed_graph(seed):
+    # the disconnection pattern follows the edges' direction
+    g = random_graph(np.random.RandomState(seed), n_max=12, directed=True)
+    report = validate_rsm(sdf_matrix(g), g)
+    assert report.all_passed, report.summary_lines()
+
+
+def test_validation_flags_one_reachable_pair_set_to_inf_on_a_directed_graph():
+    g = _directed_chain_of_cycles()
+    vals = sdf_matrix(g).values.copy()
+    assert math.isfinite(vals[0, 7]) and math.isinf(vals[7, 0])
+    vals[0, 7] = math.inf
+    report = validate_rsm(RsmMatrix(vals, "external"), g)
+    assert report.connectivity is False
+    assert [v for v in report.violations if v.kind == "infinity-pattern"] == [
+        Violation("infinity-pattern", (0, 7), math.inf)
+    ]
+
+
+def test_violation_prints_as_one_summary_line():
+    assert str(Violation("triangle", (0, 2, 1), 0.25)) == "triangle at (0, 2, 1): 0.25"
+    assert str(Violation("offdiagonal-zero", ("a", "b"), -0.0)) == (
+        "offdiagonal-zero at ('a', 'b'): -0")
 
 
 def test_validation_flags_asymmetry_on_undirected():

@@ -16,12 +16,20 @@ from rsmc import (
     ParseError,
     RsmMatrix,
     SimilaritySpec,
+    Violation,
     combine_similarities,
     parse_similarity_json,
     validate_rsm,
 )
+from rsmc.similarity import TRIANGLE_SLACK
 
-from oracles import check_scaling, combine_similarity_oracle
+from oracles import (
+    check_scaling,
+    combine_similarity_oracle,
+    exact_violations,
+    loop_table_violations,
+    triangle_breaks_oracle,
+)
 
 
 def similarity_warnings(caplog):
@@ -188,6 +196,43 @@ def test_combine_single_discrete_metric_is_table_lookup(caplog):
     for i in range(4):
         for j in range(4):
             assert m.values[i, j] == tab[idx[i], idx[j]]
+
+
+#: Table entries that probe each check's edge: signed zeros and gaps that overflow.
+HOSTILE_TABLE_ENTRIES = [-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0, 1e308, -1e308, 1.7e308]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000))
+def test_table_report_matches_the_entry_loops(seed):
+    rng = np.random.RandomState(seed)
+    n = rng.randint(1, 7)
+    names = tuple(f"c{i}" for i in range(n))
+    vals = rng.choice(HOSTILE_TABLE_ENTRIES, (n, n))
+    if rng.rand() < 0.5:  # mirrored, so that +-0.0 pairs and passing tables turn up
+        upper = np.triu_indices(n)
+        vals.T[upper] = vals[upper]
+    report = table(names, vals).report
+    found = loop_table_violations(names, vals)
+    triangle = [Violation("triangle", (names[i], names[k], names[j]), excess)
+                for i, k, j, excess in triangle_breaks_oracle(vals, TRIANGLE_SLACK)]
+    assert exact_violations(report.violations) == exact_violations(
+        found["negative"] + found["diagonal-nonzero"] + found["offdiagonal-zero"]
+        + found["asymmetry"] + triangle)
+    assert (report.nonnegativity, report.coincidence, report.symmetry, report.triangle) == (
+        not found["negative"],
+        not (found["diagonal-nonzero"] or found["offdiagonal-zero"]),
+        not found["asymmetry"],
+        not triangle,
+    )
+
+
+def test_table_offdiagonal_negative_zero_has_magnitude_zero():
+    report = table(["a", "b"], [[0.0, -0.0], [-0.0, 0.0]]).report
+    assert exact_violations(report.violations) == exact_violations([
+        Violation("offdiagonal-zero", ("a", "b"), 0.0),
+        Violation("offdiagonal-zero", ("b", "a"), 0.0),
+    ])
 
 
 @settings(max_examples=50, deadline=None)
