@@ -10,7 +10,6 @@ memory too), 3 numerical error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import sys
 import time
@@ -174,12 +173,11 @@ def _write_out(text: str, out_path: str | None) -> None:
 MAX_SWEEP_EPSILONS = 1_000_000
 
 
-def _number(text: str) -> float:
+def number(text: str) -> float:
     """``float(text)`` of an ASCII number without ``_`` separators, the spelling files take."""
-    if is_ascii_number(text):
-        with contextlib.suppress(ValueError):
-            return float(text)
-    raise argparse.ArgumentTypeError(f"bad number {text!r}")
+    if not is_ascii_number(text):
+        raise ValueError(f"bad number {text!r}")
+    return float(text)
 
 
 def _parse_sweep(arg: str) -> list[float]:
@@ -187,8 +185,8 @@ def _parse_sweep(arg: str) -> list[float]:
     if len(parts) != 3:
         raise ParseError(f"sweep must look like lo:hi:step, got {arg!r}")
     try:
-        lo, hi, step = (_number(p) for p in parts)
-    except argparse.ArgumentTypeError:
+        lo, hi, step = (number(p) for p in parts)
+    except ValueError:
         raise ParseError(f"sweep bounds must be numbers, got {arg!r}") from None
     if not all(math.isfinite(x) for x in (lo, hi, step)):
         raise ParseError(f"sweep bounds must be finite, got {arg!r}")
@@ -345,11 +343,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     detect = subs.add_parser("detect", help="find all maximal communities")
     _rsm_args(detect)
-    detect.add_argument("--epsilon", type=_number, default=None,
+    detect.add_argument("--epsilon", type=number, default=None,
                         help="community parameter: pairs relate iff strength <= epsilon")
     detect.add_argument("--epsilon-sweep", metavar="LO:HI:STEP", default=None,
                         help="emit community counts per epsilon as CSV instead")
-    detect.add_argument("--tol", type=_number, default=REFINE_TOL,
+    detect.add_argument("--tol", type=number, default=REFINE_TOL,
                         help="additive comparison slack (default %(default)g)")
     detect.add_argument("--format", choices=("json", "dot", "csv"), default=None,
                         help="output format (default json; a sweep writes csv only)")
@@ -366,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vrsm.add_argument("--matrix", metavar="FILE", required=True,
                       help="matrix file (CSV or JSON)")
     _graph_args(vrsm)
-    vrsm.add_argument("--tol", type=_number, default=AXIOM_TOL,
+    vrsm.add_argument("--tol", type=number, default=AXIOM_TOL,
                       help="axiom tolerance (default %(default)g)")
     vrsm.set_defaults(func=cmd_validate_rsm)
 

@@ -574,7 +574,7 @@ def validate_rsm(m: RsmMatrix, g: Graph | None = None, tol: float = AXIOM_TOL) -
     Checks non-negativity, the coincidence axiom (zero diagonal within tol,
     off-diagonal strictly above tol), the disconnection pattern (+inf exactly
     where j is unreachable from i: across components of an undirected graph,
-    against the edges' direction on a directed one), the triangle inequality
+    along the edges' direction on a directed one), the triangle inequality
     over all finite triples together with additivity through every cut
     vertex, and symmetry. The pattern and cut-vertex checks need the source
     graph and are skipped when ``g`` is None; symmetry is skipped for
@@ -595,11 +595,7 @@ def validate_rsm(m: RsmMatrix, g: Graph | None = None, tol: float = AXIOM_TOL) -
 
     pattern = None
     if g is not None:
-        if g.directed:
-            apart = np.isinf(dijkstra(edge_csr(g), directed=True, unweighted=True))
-        else:
-            assignment = np.asarray(connected_components(g).assignment)
-            apart = assignment[:, None] != assignment[None, :]
+        apart = np.isinf(dijkstra(edge_csr(g), directed=g.directed, unweighted=True))
         pattern = violations_at("infinity-pattern", np.isinf(vals) != apart, vals)
 
     triangle = [Violation("triangle", (i, k, j), excess)
