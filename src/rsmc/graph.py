@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components as csgraph_components
+from scipy.sparse.csgraph import connected_components as csgraph_components, dijkstra
 
 from .errors import DuplicateEdgeError, LabelError, ParseError, WeightError
 
@@ -132,6 +132,22 @@ def connected_components(g: Graph) -> ComponentPartition:
     """
     count, labels = csgraph_components(edge_csr(g), directed=False)
     return ComponentPartition(assignment=tuple(labels.tolist()), component_count=count)
+
+
+def unreachable(g: Graph) -> np.ndarray:
+    """Bool (n, n) mask, True where j cannot be reached from i along the edges.
+
+    A vertex reaches its whole strong component (plain component if undirected), so one
+    unweighted Dijkstra walks the condensation from each component with an edge out.
+    """
+    count, labels = csgraph_components(edge_csr(g), directed=g.directed, connection="strong")
+    s, d = labels[g.src], labels[g.dst]
+    s, d = s[s != d], d[s != d]  # edges between components; none on an undirected graph
+    sources = np.unique(s)
+    apart = ~np.eye(count, dtype=bool)
+    dag = csr_matrix((np.ones(s.size), (s, d)), shape=(count, count))
+    apart[sources] = np.isinf(dijkstra(dag, unweighted=True, indices=sources))
+    return apart[:, labels][labels]  # gathering whole rows last leaves it C-ordered
 
 
 def is_ascii_number(token: str) -> bool:

@@ -22,8 +22,7 @@ from itertools import chain
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components as csgraph_components
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components as csgraph_components, dijkstra
 
 from .errors import (
     DimensionMismatchError,
@@ -34,7 +33,7 @@ from .errors import (
     SingularityError,
     ThresholdError,
 )
-from .graph import Graph, connected_components, edge_csr, is_ascii_number
+from .graph import Graph, connected_components, edge_csr, is_ascii_number, unreachable
 
 log = logging.getLogger(__name__)
 
@@ -122,21 +121,14 @@ def sdf_matrix(g: Graph) -> RsmMatrix:
     path's weights in opposite orders. A path length too large for a float
     raises NumericalError rather than reading as unreachable.
     """
-    csr = edge_csr(g)
-    dist = dijkstra(csr, directed=g.directed, return_predecessors=False)
+    dist = dijkstra(edge_csr(g), directed=g.directed, return_predecessors=False)
     if not g.directed:
         np.minimum(dist, dist.T, out=dist)
-    # every tentative distance is at most twice the weight total, so only a
-    # heavier graph can overflow a path length into the +inf of "unreachable"
-    with np.errstate(over="ignore"):
-        heavy = g.weights.sum() > np.finfo(float).max / 2
-    if heavy:
-        hops = dijkstra(csr, directed=g.directed, unweighted=True, return_predecessors=False)
-        overflowed = np.argwhere(np.isinf(dist) & np.isfinite(hops))
-        if overflowed.size:
-            i, j = overflowed[0]
-            raise NumericalError(f"the shortest path length from {g.labels[i]} to "
-                                 f"{g.labels[j]} is too large for a float")
+    overflowed = np.isinf(dist) & ~unreachable(g)
+    if overflowed.any():
+        i, j = np.argwhere(overflowed)[0]
+        raise NumericalError(f"the shortest path length from {g.labels[i]} to "
+                             f"{g.labels[j]} is too large for a float")
     return _frozen(dist, SDF_TAG)
 
 
@@ -251,7 +243,8 @@ def erf_matrix(g: Graph) -> RsmMatrix:
     too_small = np.flatnonzero(~np.isfinite(conductance))
     if too_small.size:
         s, d, weight = g.edges[too_small[0]]
-        raise NumericalError(f"edge ({s}, {d}) weight {weight} is too small to invert")
+        raise NumericalError(
+            f"edge ({g.labels[s]}, {g.labels[d]}) weight {weight} is too small to invert")
 
     partition = connected_components(g)
     edge_comp = np.asarray(partition.assignment)[src]
@@ -595,8 +588,7 @@ def validate_rsm(m: RsmMatrix, g: Graph | None = None, tol: float = AXIOM_TOL) -
 
     pattern = None
     if g is not None:
-        apart = np.isinf(dijkstra(edge_csr(g), directed=g.directed, unweighted=True))
-        pattern = violations_at("infinity-pattern", np.isinf(vals) != apart, vals)
+        pattern = violations_at("infinity-pattern", np.isinf(vals) != unreachable(g), vals)
 
     triangle = [Violation("triangle", (i, k, j), excess)
                 for i, k, j, excess in triangle_breaks(vals, tol)]

@@ -602,7 +602,7 @@ def test_erf_weight_too_small_to_invert_exits_3(tmp_path, capsys):
     assert main(["detect", "--input", str(p), "--rsm", "erf", "--epsilon", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: edge (2, 3) weight 5e-324 is too small to invert\n"
+    assert captured.err == "error: edge (c, d) weight 5e-324 is too small to invert\n"
 
 
 def test_detect_is_deterministic(capsys):

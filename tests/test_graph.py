@@ -18,10 +18,10 @@ from rsmc import (
     parse_edge_list,
     serialize_edge_list,
 )
-from rsmc.graph import connected_components
+from rsmc.graph import connected_components, unreachable
 
 from graphgen import random_graph
-from oracles import bfs_components, loop_graph_edges, scale_weights
+from oracles import bfs_components, loop_graph_edges, reachable_sets, scale_weights
 
 
 def test_parse_basic_two_edges():
@@ -251,6 +251,42 @@ def test_component_count_equals_n_iff_edgeless(seed):
     g = random_graph(rng, n_max=8)
     part = connected_components(g)
     assert (part.component_count == g.vertex_count) == (len(g.edges) == 0)
+
+
+@st.composite
+def _reach_graphs(draw):
+    """A sparse random graph, a chain of directed cycles, or an edgeless graph."""
+    kind = draw(st.sampled_from(["random", "cycles", "edgeless"]))
+    if kind == "edgeless":
+        return Graph(draw(st.integers(1, 6)), (), draw(st.booleans()))
+    if kind == "random":
+        n, directed = draw(st.integers(1, 12)), draw(st.booleans())
+        pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=2 * n))
+        pairs = {p if directed else tuple(sorted(p)) for p in pairs if p[0] != p[1]}
+        return Graph(n, tuple((s, d, 1.0) for s, d in pairs), directed)
+    # cycles of 1 to 4 vertices, each with one arc to the next, so the
+    # condensation is a path whose far ends are several hops apart
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=6))
+    starts = np.cumsum([0] + sizes).tolist()
+    arcs = {(a + k, a + (k + 1) % size) for a, size in zip(starts, sizes) if size > 1
+            for k in range(size)}
+    for i in range(len(sizes) - 1):
+        arcs.add((starts[i] + draw(st.integers(0, sizes[i] - 1)),
+                  starts[i + 1] + draw(st.integers(0, sizes[i + 1] - 1))))
+    name = draw(st.permutations(range(starts[-1])))
+    return Graph(starts[-1], tuple((name[s], name[d], 1.0) for s, d in arcs), True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reach_graphs())
+@example(Graph(1, (), False))
+@example(Graph(1, (), True))
+def test_unreachable_matches_bfs_oracle(g):
+    n, reach = g.vertex_count, reachable_sets(g)
+    mask = unreachable(g)
+    assert mask.dtype == bool and mask.shape == (n, n)
+    assert mask.tolist() == [[j not in reach[i] for j in range(n)] for i in range(n)]
 
 
 @settings(max_examples=100, deadline=None)

@@ -69,3 +69,13 @@ def test_no_module_reads_the_environment():
                 readers += [f"{path.name}:{node.lineno}: from os import {alias.name}"
                             for alias in node.names if alias.name in ("environ", "getenv")]
     assert readers == []
+
+
+def test_reachability_has_one_home():
+    # "who cannot reach whom" is answered by graph.unreachable alone
+    homes = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            homes += [f"{path.name}: {getattr(top, 'name', None)}" for node in ast.walk(top)
+                      if isinstance(node, ast.keyword) and node.arg == "unweighted"]
+    assert homes == ["graph.py: unreachable"]

@@ -114,7 +114,7 @@ def test_sdf_path_length_too_large_for_a_float_raises():
 
 
 def test_sdf_heavy_directed_graph_keeps_unreachable_pairs_infinite():
-    # the weights pass half the largest float, so the reachability check runs
+    # the overflow check runs on every graph; it raises for reachable pairs only
     m = sdf_matrix(Graph(3, ((0, 1, 1e308), (1, 2, 1.0)), directed=True))
     assert m.values[0, 2] == 1e308 and m.values[0, 1] == 1e308
     assert math.isinf(m.values[2, 0]) and math.isinf(m.values[1, 0])
