@@ -13,6 +13,7 @@ import argparse
 import math
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -119,9 +120,8 @@ def _read(path: str) -> str:
 
 def _load_matrix_file(path: str) -> RsmMatrix:
     text = _read(path)
-    if text.lstrip().startswith("{"):
-        return rsm_from_json(text)
-    return rsm_from_csv(text)
+    first = next((c for c in text if not c.isspace()), "")  # without copying the text
+    return rsm_from_json(text) if first == "{" else rsm_from_csv(text)
 
 
 def _load_graph(input_path: str | None, builtin: str | None, directed: bool) -> Graph | None:
@@ -162,11 +162,10 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
 
 def _write_out(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    # in slices of 2**20 characters: one write of the whole text would encode a copy of it all
+    with nullcontext(sys.stdout) if out_path is None else open(out_path, "w", encoding="utf-8") as fh:
+        for start in range(0, len(text), 2**20):
+            fh.write(text[start:start + 2**20])
 
 
 #: Largest number of epsilons one ``--epsilon-sweep`` may ask for.

@@ -13,11 +13,14 @@ import json
 import logging
 import math
 import os
+import re
 import time
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain
+from typing import NoReturn
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri
@@ -618,27 +621,62 @@ def validate_rsm(m: RsmMatrix, g: Graph | None = None, tol: float = AXIOM_TOL) -
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _row_texts(m: RsmMatrix) -> list[str]:
-    """Each row as its entries' shortest round-trip reprs joined by ", "; +inf is ``inf``.
+def _row_texts(m: RsmMatrix) -> Iterator[str]:
+    """Each row, as it comes, as its entries' shortest round-trip reprs joined by ", ".
 
-    ``str`` of a list of Python floats formats every entry with ``repr``,
-    exactly as ``json.dumps`` writes a finite float, at C speed. A
-    bitwise-symmetric matrix formats only its upper triangle, diagonal
-    included, and mirrors those texts through an object array; no repr
-    contains ", ", so splitting on it recovers each entry's text.
+    ``str`` of a list of floats formats each with ``repr``, as ``json.dumps``
+    does a finite float, at C speed; +inf is ``inf``. A bitwise-symmetric
+    matrix formats each entry once: row i formats ``vals[i, i:]`` and takes
+    its lower part from the texts the rows above left pending for it.
     """
     vals = m.values
     if not _bitwise_symmetric(vals):
-        return [str(row)[1:-1] for row in vals.tolist()]
-    upper = np.triu_indices(len(vals))
-    texts = np.empty(vals.shape, dtype=object)
-    texts[upper] = texts.T[upper] = str(vals[upper].tolist())[1:-1].split(", ")
-    return [", ".join(row) for row in texts.tolist()]
+        yield from (str(row.tolist())[1:-1] for row in vals)
+        return
+    pending = [[] for _ in vals]  # pending[0] is the lower part of the next row
+    for i, row in enumerate(vals):
+        texts = pending.pop(0)
+        upper = str(row[i:].tolist())[1:-1].split(", ")
+        for column, text in zip(pending, upper[1:]):
+            column.append(text)
+        texts += upper
+        yield ", ".join(texts)
 
 
 def rsm_to_csv(m: RsmMatrix) -> str:
     """Row-major CSV with an ``inf`` token for +inf, full float precision."""
-    return "\n".join(_row_texts(m)).replace(", ", ",") + "\n"
+    return "".join([row.replace(", ", ",") + "\n" for row in _row_texts(m)])
+
+
+class _Rows:
+    """Rows copied, as they come, into a float64 matrix as wide as the first.
+
+    It is allocated only if ``room`` characters, one at least per entry, can
+    hold it, and dropped at a ragged row, when a shape error is certain.
+    """
+
+    def __init__(self, room: int):
+        self.room, self.values, self.count, self.width, self.overflow = room, None, 0, 0, False
+        self.tagged_inf, self.error = 0, None  # a JSON array's "inf" tags and first bad row
+
+    def add(self, row: list) -> None:
+        if not self.count:
+            self.width = len(row)
+            self.values = np.empty((self.width,) * 2) if self.width ** 2 <= self.room else None
+        if len(row) != self.width:
+            self.values = None
+        elif self.values is not None and self.count < self.width:
+            try:
+                self.values[self.count] = row
+            except OverflowError:  # an integer too large for a float
+                self.overflow = True
+        self.count += 1
+
+    def square(self) -> np.ndarray:
+        if self.values is None or self.count != self.width:
+            raise DimensionMismatchError(f"expected a square matrix, got {self.count} rows "
+                                         f"of width {self.width}")
+        return self.values
 
 
 #: How ``float`` spells infinity, after the sign; any other literal it reads
@@ -646,48 +684,52 @@ def rsm_to_csv(m: RsmMatrix) -> str:
 _INF_SPELLINGS = {"inf", "infinity"}
 
 
+def _csv_row(line: str, lineno: int) -> list[float]:
+    """One stripped CSV line's entries: by one ``map(float, ...)`` if it is ASCII without
+    ``_`` and finite, else token by token, where the first bad token raises ParseError."""
+    if is_ascii_number(line):  # the rule holds for a line exactly when for each of its tokens
+        with suppress(ValueError):
+            row = list(map(float, line.split(",")))
+            if math.isfinite(sum(row)):
+                return row
+    row = []
+    for tok in line.split(","):
+        tok = tok.strip()
+        try:
+            v = float(tok)
+        except ValueError:
+            raise ParseError(f"bad matrix entry {tok!r}", lineno) from None
+        if math.isnan(v):
+            raise ParseError(f"NaN matrix entry {tok!r}", lineno)
+        if math.isinf(v) and tok.lstrip("+-").lower() not in _INF_SPELLINGS:
+            raise ParseError(f"matrix entry {tok!r} is too large for a float", lineno)
+        if not is_ascii_number(tok):
+            raise ParseError(f"bad matrix entry {tok!r}", lineno)
+        row.append(v)
+    return row
+
+
 def rsm_from_csv(text: str) -> RsmMatrix:
-    rows: list[list[float]] = []
+    """Read a CSV matrix line by line into one float64 array; a shape error comes last."""
+    rows = _Rows(len(text))
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        row = []
-        for tok in line.split(","):
-            tok = tok.strip()
-            try:
-                v = float(tok)
-            except ValueError:
-                raise ParseError(f"bad matrix entry {tok!r}", lineno) from None
-            if math.isnan(v):
-                raise ParseError(f"NaN matrix entry {tok!r}", lineno)
-            if math.isinf(v) and tok.lstrip("+-").lower() not in _INF_SPELLINGS:
-                raise ParseError(f"matrix entry {tok!r} is too large for a float", lineno)
-            if not is_ascii_number(tok):
-                raise ParseError(f"bad matrix entry {tok!r}", lineno)
-            row.append(v)
-        rows.append(row)
-    if not rows:
+        if line := raw.strip():
+            rows.add(_csv_row(line, lineno))
+    if not rows.count:
         raise ParseError("empty matrix")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows) or len(rows) != width:
-        raise DimensionMismatchError(
-            f"expected a square matrix, got {len(rows)} rows of width {width}"
-        )
-    return _frozen(np.array(rows, dtype=float), EXTERNAL_TAG)
+    return _frozen(rows.square(), EXTERNAL_TAG)
 
 
 def rsm_to_json(m: RsmMatrix) -> str:
     """JSON document with nested value arrays; +inf becomes the string "inf".
 
-    The layout is exactly that of ``json.dumps(doc, indent=2)``: one entry
-    per line. A finite float's repr never contains ``inf``, so replacing that
-    token quotes only the +inf entries.
+    The layout is exactly ``json.dumps(doc, indent=2)``'s. A finite float's
+    repr never contains ``inf``, so replacing it quotes only +inf entries.
     """
-    body = "\n    ],\n    [\n      ".join(_row_texts(m))
-    body = body.replace(", ", ",\n      ").replace("inf", '"inf"')
-    return ('{\n  "rsm": ' + json.dumps(m.source_rsm) + ',\n  "values": [\n    [\n      '
-            + body + "\n    ]\n  ]\n}\n")
+    rows = [row.replace(", ", ",\n      ").replace("inf", '"inf"') for row in _row_texts(m)]
+    rows[0] = '{\n  "rsm": ' + json.dumps(m.source_rsm) + ',\n  "values": [\n    [\n      ' + rows[0]
+    rows[-1] += "\n    ]\n  ]\n}\n"
+    return "\n    ],\n    [\n      ".join(rows)
 
 
 #: Entry types ``json.loads`` yields for numbers; ``bool`` is excluded on purpose.
@@ -695,44 +737,82 @@ _JSON_NUMBER_TYPES = {float, int}
 #: ``json.loads`` reads the literal ``Infinity`` as the "inf" tag, so that any
 #: other infinite float it returns is a finite literal too large for a float.
 _JSON_CONSTANTS = {"Infinity": "inf", "-Infinity": -math.inf, "NaN": math.nan}
+#: JSON around the keys, values and rows decoded one by one; "end" is where a
+#: container closes. No lookahead takes whitespace, so a run of it cannot shrink.
+_JSON_OBJECT = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*(?:(?P<end>\}[ \t\n\r]*\Z)|(?="))')
+_JSON_COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*")
+_JSON_NEXT_KEY = re.compile(r'[ \t\n\r]*(?:(?P<end>\}[ \t\n\r]*\Z)|,[ \t\n\r]*(?="))')
+_JSON_ROWS = re.compile(r"\[[ \t\n\r]*(?![ \t\n\r\]])")
+_JSON_NEXT_ROW = re.compile(r"[ \t\n\r]*(?:(?P<end>\])|,[ \t\n\r]*(?![ \t\n\r\]]))")
+_NOT_A_MATRIX = 'matrix JSON must be an object with a "values" key'
+
+
+def _refuse_json(text: str) -> NoReturn:
+    """Raise json's own error for ``text``; if it is JSON, it is not an object: raise ours."""
+    json.loads(text, parse_constant=_JSON_CONSTANTS.__getitem__)
+    raise ParseError(_NOT_A_MATRIX)
+
+
+def _json_rows(text: str, pos: int, decode) -> tuple[_Rows, int]:
+    """The rows of the nonempty array whose first row is at ``pos``, and where it ends.
+
+    The first row that fails ``json.loads``'s checks is kept as the error,
+    since a syntax error after it comes first.
+    """
+    rows, end = _Rows(len(text)), False
+    while not end:
+        row, pos = decode(text, pos)
+        step = _JSON_NEXT_ROW.match(text, pos) or _refuse_json(text)
+        pos, end = step.end(), step["end"]
+        if rows.error:
+            continue
+        if not isinstance(row, list):
+            rows.error = ParseError("matrix rows must be arrays")
+        elif not set(map(type, row)) <= _JSON_NUMBER_TYPES:
+            rows.tagged_inf += row.count("inf")
+            row = [math.inf if v == "inf" else v for v in row]
+            bad = [v for v in row if type(v) not in _JSON_NUMBER_TYPES]
+            rows.error = ParseError(f"bad matrix entry {bad[0]!r}") if bad else None
+        if not rows.error:
+            rows.add(row)
+    return rows, pos
 
 
 def rsm_from_json(text: str) -> RsmMatrix:
+    """Read a matrix JSON document, one row at a time, into one float64 array.
+
+    The top-level object and its "values" array are walked here; each key,
+    other value and row is decoded by itself. Errors come in ``json.loads``'s
+    order and then: no "values", the tag, "values" not a nonempty array, the
+    rows in order, the shape, integer overflow, NaN, a literal that overflows.
+    """
+    decode = json.JSONDecoder(parse_constant=_JSON_CONSTANTS.__getitem__).raw_decode
+    doc = {}  # a repeated key counts with its last value, as in json.loads
     try:
-        doc = json.loads(text, parse_constant=_JSON_CONSTANTS.__getitem__)
+        step = _JSON_OBJECT.match(text) or _refuse_json(text)
+        while not step["end"]:
+            key, pos = decode(text, step.end())
+            pos = (_JSON_COLON.match(text, pos) or _refuse_json(text)).end()
+            start = _JSON_ROWS.match(text, pos) if key == "values" else None
+            doc[key], pos = _json_rows(text, start.end(), decode) if start else decode(text, pos)
+            step = _JSON_NEXT_KEY.match(text, pos) or _refuse_json(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad matrix JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "values" not in doc:
-        raise ParseError('matrix JSON must be an object with a "values" key')
+    if "values" not in doc:
+        raise ParseError(_NOT_A_MATRIX)
     tag = doc.get("rsm", EXTERNAL_TAG)
     if not isinstance(tag, str):
         raise ParseError(f'matrix JSON "rsm" tag must be a string, not {json.dumps(tag)}')
-    raw = doc["values"]
-    if not isinstance(raw, list) or not raw:
+    rows = doc["values"]
+    if not isinstance(rows, _Rows):
         raise ParseError('"values" must be a nonempty array of rows')
-    rows: list[list] = []
-    tagged_inf = 0
-    for row in raw:
-        if not isinstance(row, list):
-            raise ParseError("matrix rows must be arrays")
-        if not set(map(type, row)) <= _JSON_NUMBER_TYPES:
-            tagged_inf += row.count("inf")
-            row = [math.inf if v == "inf" else v for v in row]
-            for v in row:
-                if type(v) not in _JSON_NUMBER_TYPES:
-                    raise ParseError(f"bad matrix entry {v!r}")
-        rows.append(row)
-    width = len(rows[0])
-    if any(len(r) != width for r in rows) or len(rows) != width:
-        raise DimensionMismatchError(
-            f"expected a square matrix, got {len(rows)} rows of width {width}"
-        )
-    try:
-        values = np.array(rows, dtype=float)
-    except OverflowError:
-        raise ParseError("integer matrix entry too large for a float") from None
+    if rows.error:
+        raise rows.error
+    values = rows.square()
+    if rows.overflow:
+        raise ParseError("integer matrix entry too large for a float")
     if np.isnan(values).any():
         raise ParseError("bad matrix entry nan")
-    if np.count_nonzero(np.isposinf(values)) != tagged_inf:
+    if np.count_nonzero(np.isposinf(values)) != rows.tagged_inf:
         raise ParseError("finite matrix entry too large for a float")
     return _frozen(values, tag)

@@ -11,8 +11,9 @@ ordered pairs of separated groups instead of one block per group, a loop
 over entries instead of masks for the other axiom checks, a breadth-first
 search from every vertex instead of unweighted Dijkstra for reachability,
 every vertex subset instead of a pivoted clique search, a triple loop over
-Python floats instead of blocked array minima, and ``json.dumps`` instead of
-string building. Deliberately slow and simple.
+Python floats instead of blocked array minima, ``json.dumps`` instead of
+string building, and ``json.loads`` and a loop over tokens instead of reading
+a matrix file row by row. Deliberately slow and simple.
 
 It also holds the reference checks that rsmc's pipeline never calls:
 ``brute_force_maximal_communities`` (every maximal community by exhaustive
@@ -30,7 +31,8 @@ from itertools import combinations
 
 import numpy as np
 
-from rsmc import Community, DimensionMismatchError, Graph, Violation
+from rsmc import Community, DimensionMismatchError, Graph, ParseError, RsmMatrix, Violation
+from rsmc.graph import is_ascii_number
 from rsmc.rsm import AXIOM_TOL
 
 
@@ -445,6 +447,93 @@ def csv_join_rsm(m) -> str:
     lines = [",".join("inf" if math.isinf(v) else repr(float(v)) for v in row)
              for row in m.values]
     return "\n".join(lines) + "\n"
+
+
+#: The readers' rules as they stood before reading row by row, kept here so
+#: that a change to the package's copies shows up against them.
+EXTERNAL_TAG = "external"
+_INF_SPELLINGS = {"inf", "infinity"}
+_JSON_NUMBER_TYPES = {float, int}
+_JSON_CONSTANTS = {"Infinity": "inf", "-Infinity": -math.inf, "NaN": math.nan}
+
+
+def _frozen(values: np.ndarray, tag: str) -> RsmMatrix:
+    values.setflags(write=False)
+    return RsmMatrix(values=values, source_rsm=tag)
+
+
+def token_loop_csv_rsm(text: str) -> RsmMatrix:
+    """A CSV matrix read token by token into lists, then into one array."""
+    rows: list[list[float]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        row = []
+        for tok in line.split(","):
+            tok = tok.strip()
+            try:
+                v = float(tok)
+            except ValueError:
+                raise ParseError(f"bad matrix entry {tok!r}", lineno) from None
+            if math.isnan(v):
+                raise ParseError(f"NaN matrix entry {tok!r}", lineno)
+            if math.isinf(v) and tok.lstrip("+-").lower() not in _INF_SPELLINGS:
+                raise ParseError(f"matrix entry {tok!r} is too large for a float", lineno)
+            if not is_ascii_number(tok):
+                raise ParseError(f"bad matrix entry {tok!r}", lineno)
+            row.append(v)
+        rows.append(row)
+    if not rows:
+        raise ParseError("empty matrix")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows) or len(rows) != width:
+        raise DimensionMismatchError(
+            f"expected a square matrix, got {len(rows)} rows of width {width}"
+        )
+    return _frozen(np.array(rows, dtype=float), EXTERNAL_TAG)
+
+
+def json_loads_rsm(text: str) -> RsmMatrix:
+    """A matrix JSON document read whole by ``json.loads``, then checked."""
+    try:
+        doc = json.loads(text, parse_constant=_JSON_CONSTANTS.__getitem__)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad matrix JSON: {exc}") from exc
+    if not isinstance(doc, dict) or "values" not in doc:
+        raise ParseError('matrix JSON must be an object with a "values" key')
+    tag = doc.get("rsm", EXTERNAL_TAG)
+    if not isinstance(tag, str):
+        raise ParseError(f'matrix JSON "rsm" tag must be a string, not {json.dumps(tag)}')
+    raw = doc["values"]
+    if not isinstance(raw, list) or not raw:
+        raise ParseError('"values" must be a nonempty array of rows')
+    rows: list[list] = []
+    tagged_inf = 0
+    for row in raw:
+        if not isinstance(row, list):
+            raise ParseError("matrix rows must be arrays")
+        if not set(map(type, row)) <= _JSON_NUMBER_TYPES:
+            tagged_inf += row.count("inf")
+            row = [math.inf if v == "inf" else v for v in row]
+            for v in row:
+                if type(v) not in _JSON_NUMBER_TYPES:
+                    raise ParseError(f"bad matrix entry {v!r}")
+        rows.append(row)
+    width = len(rows[0])
+    if any(len(r) != width for r in rows) or len(rows) != width:
+        raise DimensionMismatchError(
+            f"expected a square matrix, got {len(rows)} rows of width {width}"
+        )
+    try:
+        values = np.array(rows, dtype=float)
+    except OverflowError:
+        raise ParseError("integer matrix entry too large for a float") from None
+    if np.isnan(values).any():
+        raise ParseError("bad matrix entry nan")
+    if np.count_nonzero(np.isposinf(values)) != tagged_inf:
+        raise ParseError("finite matrix entry too large for a float")
+    return _frozen(values, tag)
 
 
 class TooLargeError(Exception):

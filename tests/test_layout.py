@@ -79,3 +79,20 @@ def test_reachability_has_one_home():
             homes += [f"{path.name}: {getattr(top, 'name', None)}" for node in ast.walk(top)
                       if isinstance(node, ast.keyword) and node.arg == "unweighted"]
     assert homes == ["graph.py: unreachable"]
+
+
+def _is_object_dtype(node: ast.expr) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "object"
+            or isinstance(node, ast.Constant) and node.value in ("O", "object"))
+
+
+def test_no_module_builds_an_object_array():
+    # a Python object per matrix entry is what the matrix writer and readers no longer hold
+    object_arrays = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and any(
+                    map(_is_object_dtype, node.args + [k.value for k in node.keywords
+                                                       if k.arg == "dtype"])):
+                object_arrays.append(f"{path.name}:{node.lineno}: {node.func.attr}")
+    assert object_arrays == []
