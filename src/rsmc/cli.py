@@ -121,7 +121,7 @@ def _read(path: str) -> str:
 def _load_matrix_file(path: str) -> RsmMatrix:
     text = _read(path)
     first = next((c for c in text if not c.isspace()), "")  # without copying the text
-    return rsm_from_json(text) if first == "{" else rsm_from_csv(text)
+    return rsm_from_json(text) if first in ("{", "[") else rsm_from_csv(text)
 
 
 def _load_graph(input_path: str | None, builtin: str | None, directed: bool) -> Graph | None:

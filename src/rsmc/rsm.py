@@ -313,19 +313,22 @@ class Violation:
         return f"{self.kind} at {self.where}: {self.magnitude:g}"
 
 
-def violations_at(kind: str, bad: np.ndarray, magnitude, names=None) -> list[Violation]:
-    """A ``kind`` Violation at each True entry of the mask ``bad``, in row-major order.
+def violations_at(kind: str, spots, magnitude, names=None) -> list[Violation]:
+    """A ``kind`` Violation at each True entry of a mask, in row-major order, or at each
+    place a tuple of index arrays lists, in its order.
 
-    ``where`` holds the entry's indices as Python ints, or ``names[i]`` for
+    ``where`` holds the place's indices as Python ints, or ``names[i]`` for
     each index i when ``names`` is given. The magnitude is the Python float
-    of ``magnitude`` at that entry; a scalar counts for every entry.
+    of ``magnitude`` at that place: one per place, or for a mask, an array
+    of its shape or a scalar that counts for every entry.
     """
-    at = np.nonzero(bad)
-    spots = zip(*(index.tolist() for index in at))
+    if isinstance(spots, np.ndarray):
+        magnitude = np.broadcast_to(magnitude, spots.shape)[spots]
+        spots = np.nonzero(spots)
+    places = zip(*(index.tolist() for index in spots))
     if names is not None:
-        spots = (tuple(names[i] for i in spot) for spot in spots)
-    sizes = np.broadcast_to(magnitude, bad.shape)[at].tolist()
-    return [Violation(kind, where, size) for where, size in zip(spots, sizes)]
+        places = (tuple(names[i] for i in place) for place in places)
+    return [Violation(kind, where, size) for where, size in zip(places, magnitude.tolist())]
 
 
 @dataclass(frozen=True)
@@ -500,47 +503,48 @@ def _two_leg_minima(vals: np.ndarray) -> tuple[np.ndarray, int, int, bool]:
     return best, rows, workers, symmetric
 
 
-def triangle_breaks(vals: np.ndarray, tol: float) -> list[tuple[int, int, int, float]]:
+def triangle_breaks(vals: np.ndarray, tol: float) -> tuple[tuple, np.ndarray]:
     """Every finite entry of a square matrix that breaks the triangle inequality.
 
     Entry (i, j) breaks it when it exceeds the shortest two-leg route
-    vals[i, k] + vals[k, j] by more than ``tol``. Breaks come row by row as
-    (i, k, j, excess), k being the first vertex of a shortest route. A
+    vals[i, k] + vals[k, j] by more than ``tol``. Returns index arrays
+    (i, k, j), row by row, and the excesses; k, the first vertex of a
+    shortest route, is found per batch of breaks, a row block's worth. A
     bitwise-symmetric matrix has its shortest routes computed from the upper
     triangle and mirrored, with the same result. Logs one DEBUG line: size,
     whether the matrix was symmetric, blocking, workers, breaks and seconds.
     """
     started = time.perf_counter()
     best, rows, workers, symmetric = _two_leg_minima(vals)
-    found = []
     with np.errstate(over="ignore"):
-        bad = np.isfinite(vals) & ~(vals <= best + tol)
-        for i, j in zip(*np.nonzero(bad)):
-            k = int(np.argmin(vals[i] + vals[:, j]))
-            found.append((int(i), k, int(j), float(vals[i, j] - best[i, j])))
+        i, j = np.nonzero(np.isfinite(vals) & ~(vals <= best + tol))
+        excess = vals[i, j] - best[i, j]
+        k = np.empty_like(i)
+        for s in range(0, len(i), rows):
+            k[s:s + rows] = np.argmin(vals[i[s:s + rows]] + vals[:, j[s:s + rows]].T, axis=1)
     log.debug(
         "triangle check of a %d-vertex %smatrix in %d-row blocks on %d worker(s): "
         "%d break(s), %.3f s", len(vals), "symmetric " if symmetric else "", rows,
-        workers, len(found), time.perf_counter() - started,
+        workers, len(i), time.perf_counter() - started,
     )
-    return found
+    return (i, k, j), excess
 
 
-def _check_cut_additivity(vals: np.ndarray, g: Graph, tol: float) -> list[Violation]:
+def _check_cut_additivity(vals: np.ndarray, g: Graph, tol: float) -> tuple[tuple, np.ndarray]:
     """Each finite vals[a, b] off vals[a, w] + vals[w, b] by more than tol, w a cut vertex between.
 
-    Each of w's groups is checked against all the other groups at once. On
-    a bitwise-symmetric matrix a group is checked only against the groups
-    after it, and the deviations of the reverse pairs (b, w, a) are read
-    from the same block: the add commutes, so they are equal bit for bit.
-    The violations come by w, then by the group of a, the group of b, a and b.
+    Returns index arrays (a, w, b) and the deviations, by w, then by the
+    group of a, the group of b, a and b. Each of w's groups is checked
+    against all the other groups at once. On a bitwise-symmetric matrix a
+    group is checked only against the groups after it, and the deviations
+    of the reverse pairs (b, w, a) are read from the same block: the add
+    commutes, so they are equal bit for bit.
     """
     symmetric = _bitwise_symmetric(vals)
-    found: list[Violation] = []
+    hits = [(np.empty(0, dtype=np.intp),) * 5 + (np.empty(0),)]  # w, groups of a and b, a, b, dev
     for w, parts in _separations_by_cut_vertex(g):
         members = np.concatenate(parts)
         part_of = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
-        hits = []  # (group of a, group of b, a, b, deviation), per block and direction
         stop = 0
         for part in parts:
             start, stop = stop, stop + len(part)
@@ -552,16 +556,13 @@ def _check_cut_additivity(vals: np.ndarray, g: Graph, tol: float) -> list[Violat
                 dev = vals[a, w][:, None] + vals[w, b][None, :]
                 np.abs(np.subtract(direct, dev, out=dev), out=dev)
             i, j = np.nonzero(np.isfinite(direct) & ~(dev <= tol))
-            a_part, b_part = part_of[start + i], part_of[others][j]
-            hits.append((a_part, b_part, a[i], b[j], dev[i, j]))
+            at_w, a_part, b_part = np.full(len(i), w), part_of[start + i], part_of[others][j]
+            hits.append((at_w, a_part, b_part, a[i], b[j], dev[i, j]))
             if symmetric:
-                hits.append((b_part, a_part, b[j], a[i], dev[i, j]))
-        a_part, b_part, a_at, b_at, dev = (np.concatenate(column) for column in zip(*hits))
-        for x in np.lexsort((b_at, a_at, b_part, a_part)):
-            found.append(
-                Violation("cut-additivity", (int(a_at[x]), w, int(b_at[x])), float(dev[x]))
-            )
-    return found
+                hits.append((at_w, b_part, a_part, b[j], a[i], dev[i, j]))
+    at_w, a_part, b_part, a_at, b_at, dev = (np.concatenate(column) for column in zip(*hits))
+    order = np.lexsort((b_at, a_at, b_part, a_part, at_w))
+    return (a_at[order], at_w[order], b_at[order]), dev[order]
 
 
 def validate_rsm(m: RsmMatrix, g: Graph | None = None, tol: float = AXIOM_TOL) -> RsmValidationReport:
@@ -593,10 +594,9 @@ def validate_rsm(m: RsmMatrix, g: Graph | None = None, tol: float = AXIOM_TOL) -
     if g is not None:
         pattern = violations_at("infinity-pattern", np.isinf(vals) != unreachable(g), vals)
 
-    triangle = [Violation("triangle", (i, k, j), excess)
-                for i, k, j, excess in triangle_breaks(vals, tol)]
+    triangle = violations_at("triangle", *triangle_breaks(vals, tol))
     if g is not None:
-        triangle += _check_cut_additivity(vals, g, tol)
+        triangle += violations_at("cut-additivity", *_check_cut_additivity(vals, g, tol))
 
     asymmetry = None
     if g is None or not g.directed:
@@ -747,9 +747,21 @@ _JSON_NEXT_ROW = re.compile(r"[ \t\n\r]*(?:(?P<end>\])|,[ \t\n\r]*(?![ \t\n\r\]]
 _NOT_A_MATRIX = 'matrix JSON must be an object with a "values" key'
 
 
+def json_int(text: str) -> int:
+    """A JSON integer literal's value; past Python's int-digit limit, 10**400 with its sign.
+
+    Either way the number is too large for a float exactly when the literal is,
+    so the readers refuse an over-long literal as they do any such integer.
+    """
+    try:
+        return int(text)
+    except ValueError:  # more digits than ``int`` converts
+        return -10**400 if text[0] == "-" else 10**400
+
+
 def _refuse_json(text: str) -> NoReturn:
     """Raise json's own error for ``text``; if it is JSON, it is not an object: raise ours."""
-    json.loads(text, parse_constant=_JSON_CONSTANTS.__getitem__)
+    json.loads(text, parse_constant=_JSON_CONSTANTS.__getitem__, parse_int=json_int)
     raise ParseError(_NOT_A_MATRIX)
 
 
@@ -786,7 +798,8 @@ def rsm_from_json(text: str) -> RsmMatrix:
     order and then: no "values", the tag, "values" not a nonempty array, the
     rows in order, the shape, integer overflow, NaN, a literal that overflows.
     """
-    decode = json.JSONDecoder(parse_constant=_JSON_CONSTANTS.__getitem__).raw_decode
+    decode = json.JSONDecoder(parse_constant=_JSON_CONSTANTS.__getitem__,
+                              parse_int=json_int).raw_decode
     doc = {}  # a repeated key counts with its last value, as in json.loads
     try:
         step = _JSON_OBJECT.match(text) or _refuse_json(text)
@@ -796,7 +809,7 @@ def rsm_from_json(text: str) -> RsmMatrix:
             start = _JSON_ROWS.match(text, pos) if key == "values" else None
             doc[key], pos = _json_rows(text, start.end(), decode) if start else decode(text, pos)
             step = _JSON_NEXT_KEY.match(text, pos) or _refuse_json(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: arrays nested too deep
         raise ParseError(f"bad matrix JSON: {exc}") from exc
     if "values" not in doc:
         raise ParseError(_NOT_A_MATRIX)

@@ -16,7 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidSpecError, NumericalError, ParseError
-from .rsm import SIMILARITY_TAG, RsmMatrix, Violation, real_array, triangle_breaks, violations_at
+from .rsm import (
+    SIMILARITY_TAG,
+    RsmMatrix,
+    Violation,
+    json_int,
+    real_array,
+    triangle_breaks,
+    violations_at,
+)
 
 log = logging.getLogger(__name__)
 
@@ -99,8 +107,7 @@ def _judge(names: tuple[str, ...], vals: np.ndarray) -> TableReport:
     with np.errstate(over="ignore"):  # an overflowed difference is +inf, the right gap
         gap = np.abs(vals - vals.T)
     asymmetry = violations_at("asymmetry", np.triu(vals != vals.T, k=1), gap, names)
-    triangle = [Violation("triangle", (names[i], names[k], names[j]), excess)
-                for i, k, j, excess in triangle_breaks(vals, TRIANGLE_SLACK)]
+    triangle = violations_at("triangle", *triangle_breaks(vals, TRIANGLE_SLACK), names)
     return TableReport(
         nonnegativity=not negative,
         coincidence=not (diagonal or offdiagonal),
@@ -250,8 +257,8 @@ def load_similarity_parts(text: str):
     ragged tables, or an integer too large for a float.
     """
     try:
-        doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys, parse_int=json_int)
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise ParseError(f"bad similarity JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("similarity JSON must be an object")

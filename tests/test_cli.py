@@ -373,6 +373,47 @@ def test_validate_rsm_bad_entry_exits_2(tmp_path, capsys, name, text):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def _spec_text(weights: str, tables: str = "[[0, 1], [1, 0]]") -> str:
+    return ('{"properties": ["P"], "cases": {"P": ["a", "b"]}, "tables": {"P": %s}, '
+            '"weights": [%s], "assignments": {"u": {"P": "a"}, "v": {"P": "b"}}}'
+            % (tables, weights))
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["validate-rsm", "--matrix"], '{"values": [[0, 1%s], [1, 0]]}' % ("0" * 5000),
+     "integer matrix entry too large for a float"),
+    (["detect", "--epsilon", "1", "--matrix"], '{"values": [[0, 1], [-1%s, 0]]}' % ("0" * 5000),
+     "integer matrix entry too large for a float"),
+    (["validate-similarity", "--spec"], _spec_text("1" + "0" * 5000),
+     '"weights" holds an integer too large for a float'),
+    (["detect", "--epsilon", "1", "--similarity-spec"], _spec_text("1" + "0" * 5000),
+     '"weights" holds an integer too large for a float'),
+    (["validate-rsm", "--matrix"], '{"values": ' + "[" * 100_000, "bad matrix JSON: "),
+    (["detect", "--epsilon", "1", "--matrix"], "[" * 100_000, "bad matrix JSON: "),
+    (["validate-similarity", "--spec"], _spec_text("1", "[" * 100_000), "bad similarity JSON: "),
+    (["detect", "--epsilon", "1", "--similarity-spec"], _spec_text("1", "[" * 100_000),
+     "bad similarity JSON: "),
+], ids=["validate-rsm-long-int", "detect-matrix-long-int", "validate-similarity-long-int",
+        "detect-similarity-long-int", "validate-rsm-deep", "detect-matrix-deep",
+        "validate-similarity-deep", "detect-similarity-deep"])
+def test_json_the_decoder_refuses_exits_2(tmp_path, capsys, argv, text, message):
+    # past int's 4300-digit limit, or nested past the recursion limit: one line, not a traceback
+    f = tmp_path / "input.json"
+    f.write_text(text, encoding="utf-8")
+    assert main(argv + [str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["validate-rsm"], ["detect", "--epsilon", "1"]])
+def test_bare_json_array_goes_to_the_json_reader(tmp_path, capsys, argv):
+    f = tmp_path / "m.json"
+    f.write_text(" \n[[0, 1], [1, 0]]\n")
+    assert main(argv + ["--matrix", str(f)]) == 2
+    assert capsys.readouterr().err == 'error: matrix JSON must be an object with a "values" key\n'
+
+
 @pytest.mark.parametrize("text, argv, message", [
     ("a\tb\t1_5\n", ["detect", "--input", "{f}", "--rsm", "sdf"], "line 1: bad weight '1_5'"),
     ("a\tb\t1\nb\tc\t\u0663\n", ["detect", "--input", "{f}", "--rsm", "sdf"],

@@ -81,6 +81,17 @@ def test_reachability_has_one_home():
     assert homes == ["graph.py: unreachable"]
 
 
+def test_violations_have_one_recorder():
+    # every axiom check hands its places and magnitudes to rsm.violations_at
+    recorders = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            recorders += [f"{path.name}: {getattr(top, 'name', None)}" for node in ast.walk(top)
+                          if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                          and node.func.id == "Violation"]
+    assert recorders == ["rsm.py: violations_at"]
+
+
 def _is_object_dtype(node: ast.expr) -> bool:
     return (isinstance(node, ast.Name) and node.id == "object"
             or isinstance(node, ast.Constant) and node.value in ("O", "object"))

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsmc import (DimensionMismatchError, RsmMatrix, rsm_from_csv, rsm_from_json, rsm_to_csv,
-                  rsm_to_json)
+from rsmc import (DimensionMismatchError, ParseError, RsmMatrix, rsm_from_csv, rsm_from_json,
+                  rsm_to_csv, rsm_to_json)
 
 from oracles import json_loads_rsm, token_loop_csv_rsm
 
@@ -196,6 +196,32 @@ def test_json_reader_matches_json_loads_on_edge_cases(text):
 ], ids=range(10))
 def test_csv_reader_matches_token_loop_on_edge_cases(text):
     assert outcome(rsm_from_csv, text) == outcome(token_loop_csv_rsm, text)
+
+
+# The decoder itself refuses these two, so they stay out of the differential
+# tests: ``int`` converts at most 4300 digits, and nesting is bounded by the
+# recursion limit.
+
+@pytest.mark.parametrize("text", [
+    '{"values": [[0, {big}], [1, 0]]}',
+    '{"values": [[0, -{big}], [1, 0]], "rsm": "sdf"}',
+    '{"values": [[0], [{big}]]}',
+    "[{big}]",
+    '{"note": {big}, "values": [[0]]}',
+], ids=["entry", "negative-entry", "ragged", "not-an-object", "other-key"])
+def test_json_integer_over_the_digit_limit_reads_as_any_too_large_one(text):
+    short, long = (text.replace("{big}", "9" * digits) for digits in (1000, 5000))
+    assert outcome(rsm_from_json, long) == outcome(rsm_from_json, short)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    '{"values": [' + "[" * 100_000,
+    '{"note": ' + "[" * 100_000 + "]" * 100_000 + ', "values": [[0]]}',
+], ids=["not-an-object", "row", "other-key"])
+def test_json_nested_too_deep_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="^bad matrix JSON: maximum recursion depth"):
+        rsm_from_json(text)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from rsmc.rsm import (
     laplacian,
     laplacian_pseudoinverse,
     triangle_breaks,
+    violations_at,
 )
 
 from graphgen import (
@@ -64,6 +65,15 @@ from oracles import (
     scale_weights,
     triangle_breaks_oracle,
 )
+
+
+def breaks(vals, tol):
+    (i, k, j), excess = triangle_breaks(vals, tol)  # as the oracle's (i, k, j, excess) tuples
+    return list(zip(i.tolist(), k.tolist(), j.tolist(), excess.tolist()))
+
+
+def cut_violations(vals, g):
+    return violations_at("cut-additivity", *_check_cut_additivity(vals, g, 1e-9))
 
 
 def assert_matrices_match(actual, expected, tol=1e-9):
@@ -477,14 +487,14 @@ def test_triangle_breaks_match_the_triple_loop(monkeypatch, n, tol):
             for cpus in (1, 4, None):  # one worker, a pool, no affinity mask
                 with monkeypatch.context() as patch:
                     _set_cpus(patch, cpus)
-                    assert triangle_breaks(vals, tol) == expected
+                    assert breaks(vals, tol) == expected
 
 
 def test_triangle_breaks_match_the_triple_loop_over_two_default_blocks(caplog):
     hostile = _hostile_matrix(np.random.RandomState(257), 257)
     for vals, kind in ((hostile, ""), (_mirrored(hostile), "symmetric ")):
         with caplog.at_level(logging.DEBUG, logger="rsmc.rsm"):
-            assert triangle_breaks(vals, 1e-8) == triangle_breaks_oracle(vals, 1e-8)
+            assert breaks(vals, 1e-8) == triangle_breaks_oracle(vals, 1e-8)
         assert f"257-vertex {kind}matrix in 255-row blocks" in caplog.records[-1].getMessage()
 
 
@@ -496,7 +506,7 @@ def test_triangle_breaks_of_an_almost_symmetric_matrix_take_the_general_path(
     vals = _almost_symmetric(np.random.RandomState(14), 14)[case]
     with caplog.at_level(logging.DEBUG, logger="rsmc.rsm"):
         for tol in (1e-8, 0.1, 1.0):
-            assert triangle_breaks(vals, tol) == triangle_breaks_oracle(vals, tol)
+            assert breaks(vals, tol) == triangle_breaks_oracle(vals, tol)
     assert all("14-vertex matrix" in r.getMessage() for r in caplog.records)
 
 
@@ -512,7 +522,7 @@ def test_triangle_check_logs_one_debug_line(monkeypatch, caplog):
         for cpus in (2, None):
             with monkeypatch.context() as patch:
                 _set_cpus(patch, cpus)
-                triangle_breaks(vals, 1e-8)
+                breaks(vals, 1e-8)
     lines = [r.getMessage() for r in caplog.records if r.name == "rsmc.rsm"]
     blockings = ("21845-row blocks on 1 worker(s)", "1-row blocks on 2 worker(s)",
                  "1-row blocks on 3 worker(s)")
@@ -545,7 +555,7 @@ def test_validation_near_float_max_warns_nothing(monkeypatch):
         [1.0, 0.0, -1e308],
         [1.0, 1.0, 0.0],
     ])
-    assert (0, 1, 2, math.inf) in triangle_breaks(vals, 1e-8)
+    assert (0, 1, 2, math.inf) in breaks(vals, 1e-8)
 
 
 #: Entries that probe each check's edge: signed zeros, one within tol, +inf, near float max.
@@ -575,18 +585,22 @@ def test_validation_matches_the_entry_loops(seed, graph):
         triangle = [Violation("triangle", (i, k, j), excess)
                     for i, k, j, excess in triangle_breaks_oracle(m.values, tol)]
         triangle += [] if g is None else pairwise_cut_additivity(m.values, g, tol)
-        report = validate_rsm(m, g, tol)
-        assert exact_violations(report.violations) == exact_violations(
-            found["negative"] + found["diagonal-nonzero"] + found["offdiagonal-zero"]
-            + (pattern or []) + triangle + (asymmetry or []))
-        assert (report.nonnegativity, report.coincidence, report.connectivity, report.triangle,
-                report.symmetry) == (
-            not found["negative"],
-            not (found["diagonal-nonzero"] or found["offdiagonal-zero"]),
-            None if pattern is None else not pattern,
-            not triangle,
-            None if asymmetry is None else not asymmetry,
-        )
+        for block_rows in (None, 2):  # the default block, then witnesses in batches of two
+            with pytest.MonkeyPatch.context() as patch:
+                if block_rows:
+                    patch.setattr("rsmc.rsm._BLOCK_BYTES", block_rows * 8 * m.n)
+                report = validate_rsm(m, g, tol)
+            assert exact_violations(report.violations) == exact_violations(
+                found["negative"] + found["diagonal-nonzero"] + found["offdiagonal-zero"]
+                + (pattern or []) + triangle + (asymmetry or []))
+            assert (report.nonnegativity, report.coincidence, report.connectivity,
+                    report.triangle, report.symmetry) == (
+                not found["negative"],
+                not (found["diagonal-nonzero"] or found["offdiagonal-zero"]),
+                None if pattern is None else not pattern,
+                not triangle,
+                None if asymmetry is None else not asymmetry,
+            )
 
 
 @settings(max_examples=60, deadline=None)
@@ -710,7 +724,7 @@ def test_cut_additivity_matches_pairwise_oracle(make):
             vals[i, j] = (vals[i, j] + rng.uniform(-0.5, 0.5), np.inf, 1e308, 0.0)[rng.randint(4)]
             if mirror:
                 vals[j, i] = vals[i, j]
-        found = _check_cut_additivity(vals, g, 1e-9)
+        found = cut_violations(vals, g)
         assert found == pairwise_cut_additivity(vals, g, 1e-9)
         assert len(found) > 20
     # a passing matrix, and ones off symmetric in one last bit or in one zero's sign
@@ -718,7 +732,7 @@ def test_cut_additivity_matches_pairwise_oracle(make):
     last_bit[1, n - 1] = np.nextafter(exact[1, n - 1], 0.0)
     signed_zero[1, n - 1], signed_zero[n - 1, 1] = 0.0, -0.0
     for vals in (exact, last_bit, signed_zero):
-        assert _check_cut_additivity(vals, g, 1e-9) == pairwise_cut_additivity(vals, g, 1e-9)
+        assert cut_violations(vals, g) == pairwise_cut_additivity(vals, g, 1e-9)
 
 
 # ---------------------------------------------------------------------------

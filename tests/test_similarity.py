@@ -430,3 +430,24 @@ def test_json_bad_value_types():
 def test_vertex_order_is_assignment_order():
     spec = spec_from(spec_doc())
     assert spec.vertex_labels == ("u", "v", "w")
+
+
+@pytest.mark.parametrize("place", ["weights", "tables"])
+def test_json_integer_over_the_digit_limit_reads_as_any_too_large_one(place):
+    # Python's int refuses literals over 4300 digits; such a literal is too large for a float
+    doc = json.dumps(spec_doc(weights=(2.0, 123456789)) if place == "weights" else spec_doc())
+    if place == "tables":
+        doc = doc.replace("[[0, 0.5], [0.5, 0]]", "[[0, 123456789], [0.5, 0]]")
+    errors = []
+    for digits in ("9" * 1000, "9" * 5000, "-" + "9" * 5000):
+        with pytest.raises(ParseError) as caught:
+            parse_similarity_json(doc.replace("123456789", digits))
+        errors.append(str(caught.value))
+    named = '"weights"' if place == "weights" else "\"tables\" for 'P2'"
+    assert errors == [f"{named} holds an integer too large for a float"] * 3
+
+
+def test_json_nested_too_deep_is_a_parse_error():
+    doc = json.dumps(spec_doc()).replace('"weights"', '"deep": ' + "[" * 100_000 + ', "weights"')
+    with pytest.raises(ParseError, match="^bad similarity JSON: maximum recursion depth"):
+        parse_similarity_json(doc)
