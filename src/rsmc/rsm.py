@@ -51,8 +51,9 @@ RESIDUAL_TOL = 1e-9
 AXIOM_TOL = 1e-8
 #: How many violations a validation summary lists before counting the rest.
 MAX_SHOWN_VIOLATIONS = 10
-#: Largest row block, in bytes, of the triangle check's running minimum and
-#: of the resistance assembly in ``erf_matrix``.
+#: Largest row block, in bytes, of the resistance assembly in ``erf_matrix``
+#: and of the triangle check's witness search; the triangle check's tiles of
+#: sums take up to twice as much.
 _BLOCK_BYTES = 2**19
 
 
@@ -287,7 +288,7 @@ def _resistances_in_place(pinv: np.ndarray) -> None:
     """
     k = len(pinv)
     diag = pinv.diagonal().copy()
-    rows = max(1, _BLOCK_BYTES // (pinv.itemsize * k))
+    rows = _block_rows(k)
     temp = np.empty((min(rows, k), k))
     for start in range(0, k, rows):
         run = pinv[start:start + rows]
@@ -456,25 +457,37 @@ def _bitwise_symmetric(vals: np.ndarray) -> bool:
     return bool((bits == bits.T).all())
 
 
-def _two_leg_minima(vals: np.ndarray) -> tuple[np.ndarray, int, int, bool]:
-    """best[i, j] = min over k of vals[i, k] + vals[k, j]; also rows per block, workers, symmetry.
+def _block_rows(n: int) -> int:
+    """How many rows of n float64 entries fit in ``_BLOCK_BYTES``; at least one."""
+    return max(1, _BLOCK_BYTES // (8 * n))
 
-    Rows are taken in blocks whose running minimum fits in ``_BLOCK_BYTES``,
-    so it and the preallocated temporary beside it stay in L2 while k runs
-    over every vertex. Blocks go to one thread each, up to the CPUs this
-    process may run on; numpy's ``add`` and ``minimum`` release the GIL.
-    Every sum is one float add and a minimum of floats is exact in any
-    order, so the result does not depend on the blocking or the workers.
-    Each block runs in a buffer of its own. On a bitwise-symmetric matrix a
-    block computes only the columns from its own first row onward and
-    mirrors them below the diagonal: float addition commutes, so best[j, i]
-    takes the minimum of the same sums in the same order as best[i, j] and
-    equals it bit for bit. The blocks then shrink down the matrix, and the
-    pool hands them out in order, heaviest first.
+
+def _two_leg_minima(vals: np.ndarray) -> tuple[np.ndarray, tuple[int, int], int, bool]:
+    """best[i, j] = min over k of vals[i, k] + vals[k, j]; also the tile shape, workers, symmetry.
+
+    The matrix is cut into tiles of rows I by columns J, about twice as tall
+    as wide, with at most twice as many cells as a row block has rows. A
+    tile's sums vals[I, k] + vals[k, J] go into one buffer, k running along
+    its contiguous last axis, and are reduced along it; the buffer takes at
+    most twice ``_BLOCK_BYTES`` (two rows if one row is larger), so it
+    stays in L2. The legs vals[k, J] are the
+    rows J of a bitwise-symmetric matrix, and otherwise a contiguous copy of
+    the column block's transpose, made once per column block. Column blocks
+    go to one thread each, up to the CPUs this process may run on; numpy's
+    ``add`` and ``minimum`` release the GIL. Every sum is one float add and
+    a minimum of floats is exact in any order, so the result depends on
+    neither the tiling nor the workers. On a bitwise-symmetric matrix a
+    column block J computes only the rows up to its own last column and
+    mirrors them to its rows J: float addition commutes, so best[j, i] takes
+    the minimum of the same sums as best[i, j] and equals it bit for bit.
+    The column blocks then grow across the matrix, and the pool hands them
+    out heaviest first.
     """
     n = len(vals)
-    rows = max(1, _BLOCK_BYTES // (vals.itemsize * n))
-    starts = range(0, n, rows)
+    rows = _block_rows(n)
+    width = min(n, math.isqrt(rows))
+    height = min(n, 2 * rows // width)
+    starts = range(0, n, width)
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
@@ -484,23 +497,23 @@ def _two_leg_minima(vals: np.ndarray) -> tuple[np.ndarray, int, int, bool]:
     best = np.empty_like(vals)
 
     def fill(start: int) -> None:
-        stop = start + rows
-        first = start if symmetric else 0
+        stop = min(start + width, n)
+        last = stop if symmetric else n
+        legs = vals[start:stop] if symmetric else np.ascontiguousarray(vals[:, start:stop].T)
+        sums = np.empty((height, stop - start, n))
         # numpy's error state is per thread: an overflowed sum is +-inf, the right answer
         with np.errstate(over="ignore"):
-            legs = vals[start:stop]
-            run = legs[:, :1] + vals[0, first:]
-            temp = np.empty_like(run)
-            for k in range(1, n):
-                np.add(legs[:, k:k + 1], vals[k, first:], out=temp)
-                np.minimum(run, temp, out=run)
-        best[start:stop, first:] = run
+            for top in range(0, last, height):
+                bottom = min(top + height, last)
+                tile = sums[:bottom - top]
+                np.add(vals[top:bottom, None], legs, out=tile)
+                tile.min(axis=2, out=best[top:bottom, start:stop])
         if symmetric:
-            best[stop:, start:stop] = run[:, rows:].T
+            best[start:stop, :start] = best[:start, start:stop].T
 
     with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(fill, starts))
-    return best, rows, workers, symmetric
+        list(pool.map(fill, reversed(starts) if symmetric else starts))
+    return best, (height, width), workers, symmetric
 
 
 def triangle_breaks(vals: np.ndarray, tol: float) -> tuple[tuple, np.ndarray]:
@@ -512,10 +525,11 @@ def triangle_breaks(vals: np.ndarray, tol: float) -> tuple[tuple, np.ndarray]:
     shortest route, is found per batch of breaks, a row block's worth. A
     bitwise-symmetric matrix has its shortest routes computed from the upper
     triangle and mirrored, with the same result. Logs one DEBUG line: size,
-    whether the matrix was symmetric, blocking, workers, breaks and seconds.
+    whether the matrix was symmetric, tile shape, workers, breaks and seconds.
     """
     started = time.perf_counter()
-    best, rows, workers, symmetric = _two_leg_minima(vals)
+    best, (height, width), workers, symmetric = _two_leg_minima(vals)
+    rows = _block_rows(len(vals))
     with np.errstate(over="ignore"):
         i, j = np.nonzero(np.isfinite(vals) & ~(vals <= best + tol))
         excess = vals[i, j] - best[i, j]
@@ -523,8 +537,8 @@ def triangle_breaks(vals: np.ndarray, tol: float) -> tuple[tuple, np.ndarray]:
         for s in range(0, len(i), rows):
             k[s:s + rows] = np.argmin(vals[i[s:s + rows]] + vals[:, j[s:s + rows]].T, axis=1)
     log.debug(
-        "triangle check of a %d-vertex %smatrix in %d-row blocks on %d worker(s): "
-        "%d break(s), %.3f s", len(vals), "symmetric " if symmetric else "", rows,
+        "triangle check of a %d-vertex %smatrix in %dx%d tiles on %d worker(s): "
+        "%d break(s), %.3f s", len(vals), "symmetric " if symmetric else "", height, width,
         workers, len(i), time.perf_counter() - started,
     )
     return (i, k, j), excess
@@ -621,31 +635,32 @@ def validate_rsm(m: RsmMatrix, g: Graph | None = None, tol: float = AXIOM_TOL) -
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _row_texts(m: RsmMatrix) -> Iterator[str]:
-    """Each row, as it comes, as its entries' shortest round-trip reprs joined by ", ".
+def _row_texts(m: RsmMatrix, sep: str) -> Iterator[str]:
+    """Each row, as it comes, as its entries' shortest round-trip reprs joined by ``sep``.
 
-    ``str`` of a list of floats formats each with ``repr``, as ``json.dumps``
-    does a finite float, at C speed; +inf is ``inf``. A bitwise-symmetric
-    matrix formats each entry once: row i formats ``vals[i, i:]`` and takes
-    its lower part from the texts the rows above left pending for it.
+    ``float.__repr__`` spells a finite float as ``json.dumps`` does, and +inf
+    as ``inf``; mapped over a row's list it runs at C speed. A
+    bitwise-symmetric matrix formats each entry once: row i formats
+    ``vals[i, i:]`` and takes its lower part from the texts the rows above
+    left pending for it.
     """
     vals = m.values
     if not _bitwise_symmetric(vals):
-        yield from (str(row.tolist())[1:-1] for row in vals)
+        yield from (sep.join(map(float.__repr__, row.tolist())) for row in vals)
         return
     pending = [[] for _ in vals]  # pending[0] is the lower part of the next row
     for i, row in enumerate(vals):
         texts = pending.pop(0)
-        upper = str(row[i:].tolist())[1:-1].split(", ")
+        upper = list(map(float.__repr__, row[i:].tolist()))
         for column, text in zip(pending, upper[1:]):
             column.append(text)
         texts += upper
-        yield ", ".join(texts)
+        yield sep.join(texts)
 
 
 def rsm_to_csv(m: RsmMatrix) -> str:
     """Row-major CSV with an ``inf`` token for +inf, full float precision."""
-    return "".join([row.replace(", ", ",") + "\n" for row in _row_texts(m)])
+    return "".join([row + "\n" for row in _row_texts(m, ",")])
 
 
 class _Rows:
@@ -726,7 +741,7 @@ def rsm_to_json(m: RsmMatrix) -> str:
     The layout is exactly ``json.dumps(doc, indent=2)``'s. A finite float's
     repr never contains ``inf``, so replacing it quotes only +inf entries.
     """
-    rows = [row.replace(", ", ",\n      ").replace("inf", '"inf"') for row in _row_texts(m)]
+    rows = [row.replace("inf", '"inf"') for row in _row_texts(m, ",\n      ")]
     rows[0] = '{\n  "rsm": ' + json.dumps(m.source_rsm) + ',\n  "values": [\n    [\n      ' + rows[0]
     rows[-1] += "\n    ]\n  ]\n}\n"
     return "\n    ],\n    [\n      ".join(rows)

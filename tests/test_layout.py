@@ -81,15 +81,25 @@ def test_reachability_has_one_home():
     assert homes == ["graph.py: unreachable"]
 
 
-def test_violations_have_one_recorder():
-    # every axiom check hands its places and magnitudes to rsm.violations_at
-    recorders = []
+def _callers(callee: str) -> list[str]:
+    """"module: top-level name" for each call of ``callee``, by plain or dotted name."""
+    callers = []
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            recorders += [f"{path.name}: {getattr(top, 'name', None)}" for node in ast.walk(top)
-                          if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                          and node.func.id == "Violation"]
-    assert recorders == ["rsm.py: violations_at"]
+            callers += [f"{path.name}: {getattr(top, 'name', None)}" for node in ast.walk(top)
+                        if isinstance(node, ast.Call) and callee in (
+                            getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    return callers
+
+
+def test_violations_have_one_recorder():
+    # every axiom check hands its places and magnitudes to rsm.violations_at
+    assert _callers("Violation") == ["rsm.py: violations_at"]
+
+
+def test_one_thread_pool():
+    # the triangle check's tiles are the only work split over threads
+    assert _callers("ThreadPoolExecutor") == ["rsm.py: _two_leg_minima"]
 
 
 def _is_object_dtype(node: ast.expr) -> bool:

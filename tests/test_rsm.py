@@ -3,6 +3,7 @@
 import logging
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,9 +33,11 @@ from rsmc import (
 )
 from rsmc.graph import connected_components, edge_csr
 from rsmc.rsm import (
+    _BLOCK_BYTES,
     Violation,
     _check_cut_additivity,
     _separations_by_cut_vertex,
+    _two_leg_minima,
     laplacian,
     laplacian_pseudoinverse,
     triangle_breaks,
@@ -435,8 +438,10 @@ def test_validation_flags_triangle_violation():
     assert validate_rsm(RsmMatrix(vals, "external")).triangle
 
 
-#: Rows per block the triangle-check tests force, so that blocking shows on small n.
+#: Rows per block the triangle-check tests force: tiles of 4 x 2, so that tiling shows on small n.
 BLOCK_ROWS = 4
+#: The tile shape those rows give, as the DEBUG line names it on a matrix of at least 4 rows.
+BLOCK_TILES = "4x2 tiles"
 
 
 def _set_cpus(monkeypatch, count):
@@ -477,8 +482,11 @@ def _almost_symmetric(rng, n):
 
 @pytest.mark.parametrize("n", [1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 2])
 @pytest.mark.parametrize("tol", [1e-8, 0.1, 1.0])
-def test_triangle_breaks_match_the_triple_loop(monkeypatch, n, tol):
+def test_triangle_breaks_match_the_triple_loop(monkeypatch, caplog, n, tol):
+    # n = 5: partial tiles both ways, at least two a side; n = 14: four row tiles, the last
+    # partial, and seven column tiles; n = 3: a partial column tile
     monkeypatch.setattr("rsmc.rsm._BLOCK_BYTES", BLOCK_ROWS * 8 * n)
+    caplog.set_level(logging.DEBUG, logger="rsmc.rsm")
     rng = np.random.RandomState(n)
     for _ in range(5):
         hostile = _hostile_matrix(rng, n)
@@ -488,14 +496,61 @@ def test_triangle_breaks_match_the_triple_loop(monkeypatch, n, tol):
                 with monkeypatch.context() as patch:
                     _set_cpus(patch, cpus)
                     assert breaks(vals, tol) == expected
+    tiles = BLOCK_TILES if n >= BLOCK_ROWS else f"{n}x{min(n, 2)} tiles"
+    assert len(caplog.records) == 5 * 2 * 3
+    assert all(f"in {tiles} on" in r.getMessage() for r in caplog.records)
 
 
-def test_triangle_breaks_match_the_triple_loop_over_two_default_blocks(caplog):
+def test_triangle_breaks_match_the_triple_loop_over_two_default_blocks(monkeypatch, caplog):
+    # the default tiles of a 257-vertex matrix: 34 x 15, partial in both directions
     hostile = _hostile_matrix(np.random.RandomState(257), 257)
     for vals, kind in ((hostile, ""), (_mirrored(hostile), "symmetric ")):
-        with caplog.at_level(logging.DEBUG, logger="rsmc.rsm"):
-            assert breaks(vals, 1e-8) == triangle_breaks_oracle(vals, 1e-8)
-        assert f"257-vertex {kind}matrix in 255-row blocks" in caplog.records[-1].getMessage()
+        expected = triangle_breaks_oracle(vals, 1e-8)
+        for cpus, workers in ((1, 1), (4, 4), (None, 3)):  # one worker, a pool, no affinity mask
+            with monkeypatch.context() as patch, caplog.at_level(logging.DEBUG, logger="rsmc.rsm"):
+                _set_cpus(patch, cpus)
+                assert breaks(vals, 1e-8) == expected
+            assert (f"257-vertex {kind}matrix in 34x15 tiles on {workers} worker(s)"
+                    in caplog.records[-1].getMessage())
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_planted_triangle_breaks_at_the_tile_corners(monkeypatch, caplog, symmetric):
+    # 4 x 2 tiles on 13 vertices: rows 0-3, ..., 8-11 and 12; columns 0-1, ..., 10-11 and 12
+    n = 13
+    monkeypatch.setattr("rsmc.rsm._BLOCK_BYTES", BLOCK_ROWS * 8 * n)
+    rng = np.random.RandomState(13)
+    vals = rng.uniform(1.0, 2.0, (n, n))  # no entry above 2, no route via a third vertex below
+    np.fill_diagonal(vals, 0.0)
+    first, diagonal, last_rows, last_columns, corner = (0, 1), (6, 7), (12, 3), (3, 12), (12, 12)
+    planted = sorted({first, first[::-1], diagonal, diagonal[::-1], last_rows, last_columns, corner})
+    for i, j in planted:
+        vals[i, j] = rng.uniform(5.0, 6.0)  # above every route through a third vertex
+    if symmetric:
+        vals = _mirrored(vals)
+    expected = triangle_breaks_oracle(vals, 1e-8)
+    assert [(i, j) for i, _, j, _ in expected] == planted
+    for cpus in (1, 2, None):
+        with monkeypatch.context() as patch, caplog.at_level(logging.DEBUG, logger="rsmc.rsm"):
+            _set_cpus(patch, cpus)
+            assert breaks(vals, 1e-8) == expected
+    kind = "symmetric " if symmetric else ""
+    assert len(caplog.records) == 3
+    assert all(f"13-vertex {kind}matrix in {BLOCK_TILES}" in r.getMessage() for r in caplog.records)
+
+
+def test_two_leg_minima_hold_the_result_and_a_few_blocks_per_worker(monkeypatch):
+    _set_cpus(monkeypatch, 2)
+    vals = np.random.RandomState(600).uniform(0.5, 2.0, (600, 600))
+    tracemalloc.start()
+    try:
+        best, _, workers, symmetric = _two_leg_minima(vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (workers, symmetric) == (2, False)
+    # no n x n temporary beside the result, such as a transposed copy of the matrix
+    assert peak <= best.nbytes + 3 * _BLOCK_BYTES * workers
 
 
 @pytest.mark.parametrize("case", ["last-bit", "signed-zero"])
@@ -524,8 +579,8 @@ def test_triangle_check_logs_one_debug_line(monkeypatch, caplog):
                 _set_cpus(patch, cpus)
                 breaks(vals, 1e-8)
     lines = [r.getMessage() for r in caplog.records if r.name == "rsmc.rsm"]
-    blockings = ("21845-row blocks on 1 worker(s)", "1-row blocks on 2 worker(s)",
-                 "1-row blocks on 3 worker(s)")
+    blockings = ("3x3 tiles on 1 worker(s)", "2x1 tiles on 2 worker(s)",
+                 "2x1 tiles on 3 worker(s)")
     assert len(lines) == len(blockings)
     for line, blocking in zip(lines, blockings):
         head, seconds = line.rsplit(", ", 1)
