@@ -69,12 +69,6 @@ class CaseTable:
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "report", _judge(cases, arr))
 
-    def case_index(self, case: str) -> int:
-        try:
-            return self.cases.index(case)
-        except ValueError:
-            raise InvalidSpecError(f"unknown case {case!r}; expected one of {self.cases}") from None
-
 
 @dataclass(frozen=True)
 class TableReport:
@@ -133,6 +127,7 @@ class SimilaritySpec:
     tables: dict[str, CaseTable]
     weights: tuple[float, ...]
     assignments: dict[str, dict[str, str]] = field(repr=False)
+    case_positions: np.ndarray = field(init=False, repr=False)  # [p, v]: v's case in table p
 
     def __post_init__(self):
         props = tuple(str(p) for p in self.properties)
@@ -180,14 +175,21 @@ class SimilaritySpec:
             )
         if not self.assignments:
             raise InvalidSpecError("at least one vertex assignment is required")
+        lookups = [{case: i for i, case in enumerate(self.tables[p].cases)} for p in props]
+        positions = [[] for _ in props]
         for label, cases in self.assignments.items():
             if set(cases) != set(props):
                 raise InvalidSpecError(
                     f"vertex {label!r} must assign exactly the declared properties; "
                     f"got {sorted(cases)}"
                 )
-            for prop in props:
-                self.tables[prop].case_index(cases[prop])
+            for prop, lookup, found in zip(props, lookups, positions):
+                try:
+                    found.append(lookup[cases[prop]])
+                except (KeyError, TypeError):  # the latter: an unhashable case
+                    raise InvalidSpecError(f"unknown case {cases[prop]!r}; "
+                                           f"expected one of {self.tables[prop].cases}") from None
+        object.__setattr__(self, "case_positions", np.array(positions))
 
     @property
     def vertex_labels(self) -> tuple[str, ...]:
@@ -210,11 +212,8 @@ def combine_similarities(spec: SimilaritySpec) -> RsmMatrix:
     values = np.zeros((n, n))
     try:
         with np.errstate(over="raise"):
-            for prop, weight in zip(spec.properties, spec.weights):
-                table = spec.tables[prop]
-                idx = np.array([table.case_index(spec.assignments[label][prop])
-                                for label in labels])
-                values += weight * table.values[np.ix_(idx, idx)]
+            for prop, weight, idx in zip(spec.properties, spec.weights, spec.case_positions):
+                values += weight * spec.tables[prop].values[np.ix_(idx, idx)]
     except FloatingPointError:
         raise NumericalError("a combined relation strength is too large for a float") from None
 
