@@ -35,6 +35,7 @@ from .rsm import (
     AXIOM_TOL,
     RsmMatrix,
     erf_matrix,
+    listed_violations,
     rsm_from_csv,
     rsm_from_json,
     rsm_to_csv,
@@ -307,8 +308,8 @@ def cmd_validate_similarity(args: argparse.Namespace) -> int:
         status = "pass" if axioms_ok else "FAIL"
         triangle_note = "" if report.triangle else " (triangle inequality violated)"
         print(f"table {prop!r}: {status}{triangle_note}")
-        for v in report.violations:
-            print(f"  {v}")
+        for line in listed_violations(report.violations):
+            print(line)
     try:
         SimilaritySpec(properties=props, tables=tables, weights=weights,
                        assignments=assignments)

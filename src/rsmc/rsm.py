@@ -15,7 +15,7 @@ import math
 import os
 import re
 import time
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
@@ -49,7 +49,8 @@ EXTERNAL_TAG = "external"
 RESIDUAL_TOL = 1e-9
 #: Default tolerance for axiom checks.
 AXIOM_TOL = 1e-8
-#: How many violations a validation summary lists before counting the rest.
+#: How many violations (or collapsed similarity pairs) a diagnostic lists
+#: before counting the rest.
 MAX_SHOWN_VIOLATIONS = 10
 #: Largest row block, in bytes, of the resistance assembly in ``erf_matrix``
 #: and of the triangle check's witness search; the triangle check's tiles of
@@ -332,6 +333,15 @@ def violations_at(kind: str, spots, magnitude, names=None) -> list[Violation]:
     return [Violation(kind, where, size) for where, size in zip(places, magnitude.tolist())]
 
 
+def listed_violations(violations: Sequence[Violation]) -> list[str]:
+    """The indented lines both validation commands print: the first
+    ``MAX_SHOWN_VIOLATIONS`` violations, then ``... N more`` for the rest."""
+    lines = [f"  {v}" for v in violations[:MAX_SHOWN_VIOLATIONS]]
+    if len(violations) > MAX_SHOWN_VIOLATIONS:
+        lines.append(f"  ... {len(violations) - MAX_SHOWN_VIOLATIONS} more")
+    return lines
+
+
 @dataclass(frozen=True)
 class RsmValidationReport:
     """Per-axiom outcome of validating a matrix against the RSM axioms.
@@ -370,9 +380,7 @@ class RsmValidationReport:
         ]
         if self.violations:
             lines.append(f"{len(self.violations)} violation(s), tol={self.tol:g}:")
-            lines += [f"  {v}" for v in self.violations[:MAX_SHOWN_VIOLATIONS]]
-            if len(self.violations) > MAX_SHOWN_VIOLATIONS:
-                lines.append(f"  ... {len(self.violations) - MAX_SHOWN_VIOLATIONS} more")
+            lines += listed_violations(self.violations)
         return lines
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import InvalidSpecError, NumericalError, ParseError
 from .rsm import (
+    MAX_SHOWN_VIOLATIONS,
     SIMILARITY_TAG,
     RsmMatrix,
     Violation,
@@ -203,9 +204,10 @@ def combine_similarities(spec: SimilaritySpec) -> RsmMatrix:
     case of v]. The matrix is finite, symmetric when the tables are, and has
     a zero diagonal; a sum too large for a float raises NumericalError.
     Distinct vertices with identical effective assignments collapse to
-    strength 0; a WARNING on the ``rsmc.similarity`` logger names those
-    pairs, as it does tables that break the triangle inequality (either way
-    the combined matrix is no longer guaranteed to be a pseudometric).
+    strength 0; a WARNING on the ``rsmc.similarity`` logger counts those
+    pairs and names the first ``MAX_SHOWN_VIOLATIONS``, as it names tables
+    that break the triangle inequality (either way the combined matrix is
+    no longer guaranteed to be a pseudometric).
     """
     labels = spec.vertex_labels
     n = len(labels)
@@ -222,10 +224,12 @@ def combine_similarities(spec: SimilaritySpec) -> RsmMatrix:
         log.warning("case table(s) %s break the triangle inequality; "
                     "the combined matrix may not be a pseudometric", shaky_tables)
     rows, cols = np.nonzero(np.triu(values == 0.0, k=1))
-    collapsed = [(labels[i], labels[j]) for i, j in zip(rows.tolist(), cols.tolist())]
-    if collapsed:
-        log.warning("%d vertex pair(s) collapse to zero relation strength: %s",
-                    len(collapsed), collapsed)
+    if len(rows):
+        shown = [(labels[i], labels[j]) for i, j in zip(rows[:MAX_SHOWN_VIOLATIONS].tolist(),
+                                                        cols[:MAX_SHOWN_VIOLATIONS].tolist())]
+        more = f" ... {len(rows) - len(shown)} more" if len(rows) > len(shown) else ""
+        log.warning("%d vertex pair(s) collapse to zero relation strength: %s%s",
+                    len(rows), shown, more)
     values.setflags(write=False)  # fresh, so RsmMatrix need not copy it
     return RsmMatrix(values=values, source_rsm=SIMILARITY_TAG)
 

@@ -461,6 +461,36 @@ def test_validate_similarity(sim_spec, tmp_path, capsys):
     assert main(["validate-similarity", "--spec", str(bad)]) == 2
 
 
+def test_validate_similarity_lists_ten_violations_per_table(tmp_path, capsys):
+    # a four-case table of zeros breaks coincidence at all 12 off-diagonal entries
+    doc = {"properties": ["P"], "cases": {"P": ["a", "b", "c", "d"]},
+           "tables": {"P": [[0] * 4] * 4}, "weights": [1],
+           "assignments": {"u": {"P": "a"}, "v": {"P": "b"}}}
+    spec = tmp_path / "zeros.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["validate-similarity", "--spec", str(spec)]) == 1
+    pairs = [(i, j) for i in "abcd" for j in "abcd" if i != j]
+    assert capsys.readouterr().out.splitlines() == [
+        "table 'P': FAIL",
+        *[f"  offdiagonal-zero at {pair}: 0" for pair in pairs[:10]],
+        "  ... 2 more",
+        "spec: pass",
+    ]
+
+
+def test_validate_rsm_lists_ten_violations(tmp_path, capsys):
+    # a 4 x 4 matrix of zeros breaks coincidence at all 12 off-diagonal entries
+    matrix = tmp_path / "zeros.csv"
+    matrix.write_text("0,0,0,0\n" * 4)
+    assert main(["validate-rsm", "--matrix", str(matrix)]) == 1
+    pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
+    assert capsys.readouterr().out.splitlines()[5:] == [
+        "12 violation(s), tol=1e-08:",
+        *[f"  offdiagonal-zero at {pair}: 0" for pair in pairs[:10]],
+        "  ... 2 more",
+    ]
+
+
 @pytest.mark.parametrize("argv", [
     ["detect", "--similarity-spec", "{spec}", "--epsilon", "1.5"],
     ["validate-similarity", "--spec", "{spec}"],
@@ -528,6 +558,23 @@ def test_similarity_collapse_is_one_stderr_line(sim_spec, tmp_path):
     collapse, summary = proc.stderr.splitlines()
     assert collapse == "1 vertex pair(s) collapse to zero relation strength: [('u', 'u2')]"
     assert summary.startswith("similarity rsm on 4 vertices -> ")
+
+
+def test_similarity_collapse_lists_ten_pairs_and_counts_the_rest(sim_spec, tmp_path):
+    doc = json.loads(Path(sim_spec).read_text())
+    copies = ["u2", "u3", "u4", "u5", "u6"]
+    for label in copies:
+        doc["assignments"][label] = dict(doc["assignments"]["u"])
+    spec = tmp_path / "collapse.json"
+    spec.write_text(json.dumps(doc))
+    proc = run_python_m_rsmc("detect", "--similarity-spec", str(spec), "--epsilon", "1")
+    assert proc.returncode == 0
+    collapse, summary = proc.stderr.splitlines()
+    same = ["u", *copies]
+    pairs = [(a, b) for i, a in enumerate(same) for b in same[i + 1:]]  # 15, row-major
+    assert collapse == (f"15 vertex pair(s) collapse to zero relation strength: {pairs[:10]}"
+                        " ... 5 more")
+    assert summary.startswith("similarity rsm on 8 vertices -> ")
 
 
 def _rlimit_as_2gib():

@@ -117,3 +117,18 @@ def test_no_module_builds_an_object_array():
                                                        if k.arg == "dtype"])):
                 object_arrays.append(f"{path.name}:{node.lineno}: {node.func.attr}")
     assert object_arrays == []
+
+
+def test_cases_are_looked_up_once_per_spec():
+    # SimilaritySpec resolves every vertex's case through one dict per table;
+    # no other code searches a case list
+    lookups = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if "case_index" in (getattr(node, "name", None), getattr(node, "attr", None),
+                                getattr(node, "id", None)):
+                lookups.append(f"{path.name}:{node.lineno}: case_index")
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "index"
+                    and "cases" in ast.unparse(node.func.value)):
+                lookups.append(f"{path.name}:{node.lineno}: {ast.unparse(node.func)}")
+    assert lookups == []

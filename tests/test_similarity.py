@@ -337,6 +337,33 @@ def test_spec_rejects_unknown_case():
         spec_from(doc)
 
 
+@pytest.mark.parametrize("case", ["g9", 1, ["g1"], {"g1": 0}, None],
+                         ids=["unknown-string", "int", "list", "dict", "none"])
+def test_spec_built_in_python_names_the_unknown_case(case):
+    # an int is not its string spelling, and an unhashable case is unknown too
+    t = table(["g1", "1"], [[0, 1], [1, 0]])
+    with pytest.raises(InvalidSpecError) as info:
+        SimilaritySpec(properties=("P",), tables={"P": t}, weights=(1.0,),
+                       assignments={"u": {"P": "g1"}, "v": {"P": case}})
+    assert str(info.value) == f"unknown case {case!r}; expected one of ('g1', '1')"
+
+
+def test_spec_checks_each_vertex_in_turn_and_its_properties_in_declared_order():
+    doc = spec_doc()
+    doc["assignments"]["u"] = {"P2": "bad2", "P1": "bad1"}
+    del doc["assignments"]["v"]["P2"]
+    with pytest.raises(InvalidSpecError, match=r"^unknown case 'bad1'; expected one of \("):
+        spec_from(doc)
+    doc["assignments"]["u"] = {"P2": "z1", "P1": "g1"}
+    with pytest.raises(InvalidSpecError, match="^vertex 'v' must assign exactly"):
+        spec_from(doc)
+
+
+def test_spec_keeps_every_vertex_case_position():
+    spec = spec_from(spec_doc())
+    assert spec.case_positions.tolist() == [[0, 2, 1], [1, 0, 0]]
+
+
 def test_spec_rejects_axiom_breaking_tables():
     doc = spec_doc()
     doc["tables"]["P2"] = [[0, 0.5], [0.7, 0]]
