@@ -50,7 +50,6 @@ from .rsm import (
 from .similarity import (
     CaseTable,
     SimilaritySpec,
-    TableReport,
     combine_similarities,
     parse_similarity_json,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "RsmcError",
     "SimilaritySpec",
     "SingularityError",
-    "TableReport",
     "ThresholdError",
     "UnknownDatasetError",
     "Violation",

@@ -200,7 +200,10 @@ def _parse_sweep(arg: str) -> list[float]:
         eps = lo + k * step
         if eps > hi + step * 1e-9:
             break
-        values.append(min(eps, hi))
+        eps = min(eps, hi)
+        if values and eps <= values[-1]:
+            raise ParseError(f"sweep {arg!r} has a step too small to move epsilon past {eps!r}")
+        values.append(eps)
         k += 1
     return values
 

@@ -6,7 +6,8 @@ class RsmcError(Exception):
 
 
 class ParseError(RsmcError):
-    """Malformed edge-list input."""
+    """Malformed input: an edge list, a matrix file, a similarity spec JSON
+    or an ``--epsilon-sweep`` string."""
 
     def __init__(self, message: str, line_number: int | None = None):
         if line_number is not None:

@@ -349,6 +349,10 @@ class RsmValidationReport:
     Flags are None when a check was not applicable (no source graph supplied,
     or symmetry on a directed graph). ``triangle`` covers both the triangle
     inequality and the cut-vertex additivity equality.
+
+    A similarity ``CaseTable`` keeps one as its ``report`` too, with
+    ``connectivity`` None. There ``tol`` is the slack of the table's triangle
+    check, ``similarity.TRIANGLE_SLACK``; its other axioms are checked exactly.
     """
 
     tol: float
@@ -755,8 +759,11 @@ def rsm_to_json(m: RsmMatrix) -> str:
     return "\n    ],\n    [\n      ".join(rows)
 
 
-#: Entry types ``json.loads`` yields for numbers; ``bool`` is excluded on purpose.
-_JSON_NUMBER_TYPES = {float, int}
+#: Entry types ``json.loads`` yields for numbers. Containers are tested with
+#: ``set(map(type, c)) <= JSON_NUMBER_TYPES``: by type, not ``isinstance``, so a
+#: ``bool`` (an ``int`` subclass) is refused; and not by dtype, which numpy
+#: gives ``[[True, 1]]`` as int64 and ``[[0.5, True]]`` as float64.
+JSON_NUMBER_TYPES = frozenset({float, int})
 #: ``json.loads`` reads the literal ``Infinity`` as the "inf" tag, so that any
 #: other infinite float it returns is a finite literal too large for a float.
 _JSON_CONSTANTS = {"Infinity": "inf", "-Infinity": -math.inf, "NaN": math.nan}
@@ -803,10 +810,10 @@ def _json_rows(text: str, pos: int, decode) -> tuple[_Rows, int]:
             continue
         if not isinstance(row, list):
             rows.error = ParseError("matrix rows must be arrays")
-        elif not set(map(type, row)) <= _JSON_NUMBER_TYPES:
+        elif not set(map(type, row)) <= JSON_NUMBER_TYPES:
             rows.tagged_inf += row.count("inf")
             row = [math.inf if v == "inf" else v for v in row]
-            bad = [v for v in row if type(v) not in _JSON_NUMBER_TYPES]
+            bad = [v for v in row if type(v) not in JSON_NUMBER_TYPES]
             rows.error = ParseError(f"bad matrix entry {bad[0]!r}") if bad else None
         if not rows.error:
             rows.add(row)

@@ -17,10 +17,11 @@ import numpy as np
 
 from .errors import InvalidSpecError, NumericalError, ParseError
 from .rsm import (
+    JSON_NUMBER_TYPES,
     MAX_SHOWN_VIOLATIONS,
     SIMILARITY_TAG,
     RsmMatrix,
-    Violation,
+    RsmValidationReport,
     json_int,
     real_array,
     triangle_breaks,
@@ -45,7 +46,7 @@ class CaseTable:
 
     cases: tuple[str, ...]
     values: np.ndarray
-    report: TableReport = field(init=False, repr=False)
+    report: RsmValidationReport = field(init=False, repr=False)
 
     def __post_init__(self):
         cases = tuple(str(c) for c in self.cases)
@@ -71,29 +72,15 @@ class CaseTable:
         object.__setattr__(self, "report", _judge(cases, arr))
 
 
-@dataclass(frozen=True)
-class TableReport:
-    """Axiom report for one case table.
+def _judge(names: tuple[str, ...], vals: np.ndarray) -> RsmValidationReport:
+    """Report-only check of a case table's entries against the similarity axioms.
 
-    The three similarity axioms are non-negativity, coincidence (zero exactly
-    on the diagonal), and symmetry. The triangle inequality is reported too:
-    it is not an axiom of a single table, but combined vertex strengths only
-    form a pseudometric when every table respects it.
+    The three axioms are non-negativity, coincidence (zero exactly on the
+    diagonal) and symmetry, all checked exactly. The triangle inequality, at
+    ``TRIANGLE_SLACK``, is reported too: it is not an axiom of a single table,
+    but combined vertex strengths only form a pseudometric when every table
+    respects it. A table has no graph, so ``connectivity`` is None.
     """
-
-    nonnegativity: bool
-    coincidence: bool
-    symmetry: bool
-    triangle: bool
-    violations: tuple[Violation, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return self.nonnegativity and self.coincidence and self.symmetry and self.triangle
-
-
-def _judge(names: tuple[str, ...], vals: np.ndarray) -> TableReport:
-    """Report-only check of a case table's entries against the similarity axioms."""
     negative = violations_at("negative", vals < 0, vals, names)
     diag = np.diag(vals)
     diagonal = violations_at("diagonal-nonzero", diag != 0.0, diag, names)
@@ -103,11 +90,13 @@ def _judge(names: tuple[str, ...], vals: np.ndarray) -> TableReport:
         gap = np.abs(vals - vals.T)
     asymmetry = violations_at("asymmetry", np.triu(vals != vals.T, k=1), gap, names)
     triangle = violations_at("triangle", *triangle_breaks(vals, TRIANGLE_SLACK), names)
-    return TableReport(
+    return RsmValidationReport(
+        tol=TRIANGLE_SLACK,
         nonnegativity=not negative,
         coincidence=not (diagonal or offdiagonal),
-        symmetry=not asymmetry,
+        connectivity=None,
         triangle=not triangle,
+        symmetry=not asymmetry,
         violations=tuple(negative + diagonal + offdiagonal + asymmetry + triangle),
     )
 
@@ -275,16 +264,14 @@ def load_similarity_parts(text: str):
     raw_tables = doc["tables"]
     weights = doc["weights"]
     assignments = doc["assignments"]
-    if not isinstance(props, list) or not all(isinstance(p, str) for p in props):
+    if not isinstance(props, list) or not set(map(type, props)) <= {str}:
         raise ParseError('"properties" must be an array of strings')
     if not isinstance(cases, dict) or not isinstance(raw_tables, dict):
         raise ParseError('"cases" and "tables" must be objects keyed by property')
-    if not isinstance(weights, list) or not all(
-        isinstance(w, (int, float)) and not isinstance(w, bool) for w in weights
-    ):
+    if not isinstance(weights, list) or not set(map(type, weights)) <= JSON_NUMBER_TYPES:
         raise ParseError('"weights" must be an array of numbers')
     if not isinstance(assignments, dict) or not all(
-        isinstance(v, dict) and all(isinstance(c, str) for c in v.values())
+        isinstance(v, dict) and set(map(type, v.values())) <= {str}
         for v in assignments.values()
     ):
         raise ParseError('"assignments" must map vertex labels to {property: case} objects')
@@ -294,13 +281,11 @@ def load_similarity_parts(text: str):
     tables = {}
     for prop in props:
         case_list = cases[prop]
-        if not isinstance(case_list, list) or not all(isinstance(c, str) for c in case_list):
+        if not isinstance(case_list, list) or not set(map(type, case_list)) <= {str}:
             raise ParseError(f'"cases" for {prop!r} must be an array of strings')
         rows = raw_tables[prop]
         if not isinstance(rows, list) or not all(
-            isinstance(r, list) and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                                        for v in r)
-            for r in rows
+            isinstance(r, list) and set(map(type, r)) <= JSON_NUMBER_TYPES for r in rows
         ):
             raise ParseError(f'"tables" for {prop!r} must be a numeric matrix')
         values = _float_array(rows, f'"tables" for {prop!r}')

@@ -234,9 +234,11 @@ def address_space_cap(headroom: int = 512 << 20):
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
-@pytest.mark.parametrize("sweep", ["0:inf:1", "0:1:inf", "nan:1:1", "0:1:1e-12", "0:1:1e-6"])
+@pytest.mark.parametrize("sweep", ["0:inf:1", "0:1:inf", "nan:1:1", "0:1:1e-12", "0:1:1e-6",
+                                   "1e300:1e300:1e-300", "1:1:1e-17"])
 def test_detect_sweep_unbounded_grid(path3, capsys, sweep):
-    # a non-finite bound or a grid of more than a million epsilons is refused up front
+    # a non-finite bound, a grid of more than a million epsilons, or a step too small
+    # to move epsilon past the last one is refused with one line
     with address_space_cap():
         try:
             rc = main(["detect", "--input", path3, "--rsm", "sdf", "--epsilon-sweep", sweep])

@@ -132,3 +132,21 @@ def test_cases_are_looked_up_once_per_spec():
                     and "cases" in ast.unparse(node.func.value)):
                 lookups.append(f"{path.name}:{node.lineno}: {ast.unparse(node.func)}")
     assert lookups == []
+
+
+def test_json_numbers_have_one_type_rule():
+    # matrix rows, case-table rows and weights all test entry types against
+    # rsm.JSON_NUMBER_TYPES; by type, since a bool is an int to isinstance
+    homes, bool_tests = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            homes += [path.name for t in targets
+                      if isinstance(t, ast.Name) and t.id == "JSON_NUMBER_TYPES"]
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and any(isinstance(n, ast.Name) and n.id == "bool"
+                            for arg in node.args[1:] for n in ast.walk(arg))):
+                bool_tests.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert homes == ["rsm.py"]
+    assert bool_tests == []

@@ -15,6 +15,7 @@ from rsmc import (
     NumericalError,
     ParseError,
     RsmMatrix,
+    RsmValidationReport,
     SimilaritySpec,
     Violation,
     combine_similarities,
@@ -66,6 +67,14 @@ def spec_from(doc):
 # ---------------------------------------------------------------------------
 # Table validation
 # ---------------------------------------------------------------------------
+
+def test_table_report_is_the_matrix_report():
+    # a case table is judged by the matrix axioms: no graph, and its triangle slack as tol
+    report = table(["a", "b", "c"], [[0, 1, 3], [1, 0, 1], [3, 1, 0]]).report
+    assert type(report) is RsmValidationReport
+    assert report.connectivity is None and report.tol == TRIANGLE_SLACK
+    assert not report.triangle and not report.all_passed
+
 
 def test_table_all_pass():
     report = table(["c1", "c2"], [[0, 1], [1, 0]]).report
@@ -451,6 +460,16 @@ def test_json_bad_value_types():
     doc = spec_doc()
     doc["assignments"]["u"] = "g1"
     with pytest.raises(ParseError):
+        spec_from(doc)
+    # a JSON true is a Python bool, which is an int: refused all the same
+    not_numeric = re.escape(""""tables" for 'P2' must be a numeric matrix""")
+    for row in ([0, True], [0.5, True], [True, False]):
+        doc = spec_doc()
+        doc["tables"]["P2"][1] = row
+        with pytest.raises(ParseError, match=not_numeric):
+            spec_from(doc)
+    doc = spec_doc(weights=(1, True))
+    with pytest.raises(ParseError, match='"weights" must be an array of numbers'):
         spec_from(doc)
 
 
