@@ -304,7 +304,7 @@ def cmd_validate_rsm(args: argparse.Namespace) -> int:
 def cmd_validate_similarity(args: argparse.Namespace) -> int:
     props, tables, weights, assignments = load_similarity_parts(_read(args.spec))
     failed = False
-    for prop in props:
+    for prop in tables:  # each distinct property once; SimilaritySpec refuses repeats
         report = tables[prop].report
         axioms_ok = report.nonnegativity and report.coincidence and report.symmetry
         failed = failed or not axioms_ok

@@ -99,11 +99,15 @@ def _threshold(epsilon: float, tol: float) -> float:
 
 
 def _related_pairs(vals: np.ndarray, thr: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of the pairs i < j with vals[i, j] <= thr, in row-major order."""
+    """The pairs i < j with vals[i, j] and vals[j, i] both <= thr, as an (m, 2)
+    array in row-major order, and each pair's weaker strength, the larger of the two."""
     # a flat scan is far faster than a 2-D np.nonzero; keep each pair once, i < j
     rows, cols = np.divmod(np.flatnonzero(vals <= thr), len(vals))
     upper = rows < cols
-    return rows[upper], cols[upper]
+    rows, cols = rows[upper], cols[upper]
+    weaker = np.maximum(vals[rows, cols], vals[cols, rows])
+    both = weaker <= thr
+    return np.column_stack([rows[both], cols[both]]), weaker[both]
 
 
 def refine(m: RsmMatrix, epsilon: float, tol: float = REFINE_TOL) -> EffectiveEdgeGraph:
@@ -113,11 +117,7 @@ def refine(m: RsmMatrix, epsilon: float, tol: float = REFINE_TOL) -> EffectiveEd
     + tol. +inf entries never pass, so cross-component pairs can never share
     a community.
     """
-    thr = _threshold(epsilon, tol)
-    vals = m.values
-    rows, cols = _related_pairs(vals, thr)
-    both = vals[cols, rows] <= thr
-    edges = np.column_stack([rows[both], cols[both]])
+    edges, _ = _related_pairs(m.values, _threshold(epsilon, tol))
     return EffectiveEdgeGraph(
         vertex_count=m.n, edges=edges, epsilon=epsilon, rsm_tag=m.source_rsm
     )
@@ -247,28 +247,20 @@ def count_maximal_communities(m: RsmMatrix, epsilons: Iterable[float],
 
     Equals ``len(enumerate_maximal_communities(refine(m, e, tol)))`` for each
     e, and raises the same errors for a bad epsilon or tol. The matrix is
-    scanned once: every pair related at the largest threshold is keyed by
-    its weaker direction and the keys are sorted, so each epsilon's edges
-    are a prefix of that order. Cliques are counted, never materialised as
-    communities.
+    scanned once, for refine's pairs at the largest threshold, which are
+    sorted by their weaker strength, so each epsilon's edges are a prefix of
+    that order. Cliques are counted, never materialised as communities.
     """
     epsilons = list(epsilons)
     thresholds = [_threshold(e, tol) for e in epsilons]
     if not thresholds:
         return []
-    vals = m.values
-    top = max(thresholds)
-    rows, cols = _related_pairs(vals, top)
-    # a pair whose weaker direction exceeds top sorts after every prefix
-    key = np.maximum(vals[rows, cols], vals[cols, rows])
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    edges = np.column_stack([rows[order], cols[order]])
+    edges, strength = _related_pairs(m.values, max(thresholds))
+    order = np.argsort(strength, kind="stable")
+    strength, edges = strength[order], edges[order]
     counts = []
     for epsilon, thr in zip(epsilons, thresholds):
-        # key <= thr compares the same floats refine compares, so the prefix
-        # holds exactly the pairs refine keeps
-        stop = int(np.searchsorted(key, thr, side="right"))
+        stop = int(np.searchsorted(strength, thr, side="right"))
         _, sizes, searched = _component_cliques(m.n, edges[:stop])
         # a component of 1 or 2 vertices is one clique; only larger ones were searched
         found = int(np.count_nonzero(sizes <= 2)) + sum(len(c) for _, c in searched)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -37,7 +38,6 @@ class Graph:
     edges: tuple[Edge, ...]
     directed: bool
     labels: tuple[str, ...] | None = None
-    self_loops_dropped: int = field(default=0, compare=False)
     src: np.ndarray = field(init=False, compare=False, repr=False)
     dst: np.ndarray = field(init=False, compare=False, repr=False)
     weights: np.ndarray = field(init=False, compare=False, repr=False)
@@ -104,18 +104,11 @@ def _check_edge(edge, n: int, directed: bool) -> tuple[int, int]:
     return (src, dst) if directed or src < dst else (dst, src)
 
 
-@dataclass(frozen=True)
-class ComponentPartition:
-    """Partition of vertices by undirected reachability."""
+class Components(NamedTuple):
+    """scipy's component count and int32 label array, labels by undirected reachability."""
 
-    assignment: tuple[int, ...]
     component_count: int
-
-    def components(self) -> list[list[int]]:
-        """Vertex lists per component id, each sorted ascending."""
-        labels = np.asarray(self.assignment)
-        ends = np.cumsum(np.bincount(labels, minlength=self.component_count))
-        return [part.tolist() for part in np.split(np.argsort(labels, kind="stable"), ends[:-1])]
+    assignment: np.ndarray
 
 
 def edge_csr(g: Graph) -> csr_matrix:
@@ -123,15 +116,14 @@ def edge_csr(g: Graph) -> csr_matrix:
     return csr_matrix((g.weights, (g.src, g.dst)), shape=(g.vertex_count, g.vertex_count))
 
 
-def connected_components(g: Graph) -> ComponentPartition:
-    """Partition vertices by undirected reachability.
+def connected_components(g: Graph) -> Components:
+    """Label vertices by undirected reachability, as ``count, labels``.
 
     Component ids are assigned in order of each component's smallest vertex,
     so the result is deterministic and invariant under edge-direction
     reversal.
     """
-    count, labels = csgraph_components(edge_csr(g), directed=False)
-    return ComponentPartition(assignment=tuple(labels.tolist()), component_count=count)
+    return Components(*csgraph_components(edge_csr(g), directed=False))
 
 
 def unreachable(g: Graph) -> np.ndarray:
@@ -168,7 +160,7 @@ def parse_edge_list(text: str, directed: bool = False) -> Graph:
     Vertex indices are assigned by order of first appearance; the original
     tokens are kept as labels.
 
-    Self-loops are dropped (counted in ``self_loops_dropped``); a repeated
+    Self-loops are dropped (counted in one WARNING record); a repeated
     ordered pair raises DuplicateEdgeError, a negative or zero weight raises
     WeightError, and anything else malformed raises ParseError carrying the
     line number.
@@ -213,7 +205,7 @@ def parse_edge_list(text: str, directed: bool = False) -> Graph:
     if dropped:
         log.warning("dropped %d self-loop(s) while parsing", dropped)
     return Graph(vertex_count=len(index_of), edges=edges, directed=directed,
-                 labels=tuple(index_of), self_loops_dropped=dropped)
+                 labels=tuple(index_of))
 
 
 def serialize_edge_list(g: Graph) -> str:

@@ -251,18 +251,14 @@ def erf_matrix(g: Graph) -> RsmMatrix:
         raise NumericalError(
             f"edge ({g.labels[s]}, {g.labels[d]}) weight {weight} is too small to invert")
 
-    partition = connected_components(g)
-    edge_comp = np.asarray(partition.assignment)[src]
-    # edge indices grouped by component, in edge order within each group
-    comp_edges = np.split(np.argsort(edge_comp, kind="stable"), np.cumsum(
-        np.bincount(edge_comp, minlength=partition.component_count))[:-1])
-    if partition.component_count == 1 and n > 1:
+    count, labels = connected_components(g)
+    if count == 1 and n > 1:
         values = None
     else:
         values = np.full((n, n), np.inf)
         np.fill_diagonal(values, 0.0)  # all an isolated vertex needs
     local = np.empty(n, dtype=np.intp)  # each vertex's index within its component
-    for comp, edges in zip(partition.components(), comp_edges):
+    for comp, edges in zip(_grouped(labels, count), _grouped(labels[src], count)):
         if len(comp) == 1:
             continue
         local[comp] = np.arange(len(comp))
@@ -278,6 +274,12 @@ def erf_matrix(g: Graph) -> RsmMatrix:
         else:
             values[np.ix_(comp, comp)] = pinv
     return _frozen(values, ERF_TAG)
+
+
+def _grouped(keys: np.ndarray, count: int) -> list[np.ndarray]:
+    """Indices of ``keys`` per key in range(count), ascending within each group."""
+    ends = np.cumsum(np.bincount(keys, minlength=count))[:-1]
+    return np.split(np.argsort(keys, kind="stable"), ends)
 
 
 def _resistances_in_place(pinv: np.ndarray) -> None:

@@ -279,7 +279,7 @@ def load_similarity_parts(text: str):
         raise ParseError('"cases" and "tables" must have exactly one entry per property')
 
     tables = {}
-    for prop in props:
+    for prop in dict.fromkeys(props):  # a repeated property is built once
         case_list = cases[prop]
         if not isinstance(case_list, list) or not set(map(type, case_list)) <= {str}:
             raise ParseError(f'"cases" for {prop!r} must be an array of strings')

@@ -300,8 +300,9 @@ def test_criterion_8_pseudoinverse_residual(report, small_corpus, barbell_corpus
     graphs += [load_builtin_dataset("karate"), big]
     worst = 0.0
     for g in graphs:
-        part = connected_components(g)
-        for comp in part.components():
+        count, labels = connected_components(g)
+        for c in range(count):
+            comp = np.flatnonzero(labels == c).tolist()
             pos = {v: i for i, v in enumerate(comp)}
             sub_edges = tuple(
                 (pos[s], pos[d], 1.0 / w) for s, d, w in g.edges if s in pos

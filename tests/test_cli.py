@@ -480,6 +480,25 @@ def test_validate_similarity_lists_ten_violations_per_table(tmp_path, capsys):
     ]
 
 
+def test_validate_similarity_judges_a_repeated_property_once(tmp_path, caplog, capsys):
+    doc = {"properties": ["P", "P"], "cases": {"P": ["a", "b"]},
+           "tables": {"P": [[0, 1], [1, 0]]}, "weights": [1, 1],
+           "assignments": {"u": {"P": "a"}, "v": {"P": "b"}}}
+    spec = tmp_path / "repeated.json"
+    spec.write_text(json.dumps(doc))
+    with caplog.at_level(logging.DEBUG, logger="rsmc.rsm"):
+        assert main(["validate-similarity", "--spec", str(spec)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "table 'P': pass",
+        "spec: FAIL (duplicate property names in ('P', 'P'))",
+    ]
+    assert sum(r.getMessage().startswith("triangle check of a") for r in caplog.records) == 1
+    # the spec itself still sees the repeat, so detect refuses it as before
+    assert main(["detect", "--similarity-spec", str(spec), "--epsilon", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: duplicate property names in ('P', 'P')\n")
+
+
 def test_validate_rsm_lists_ten_violations(tmp_path, capsys):
     # a 4 x 4 matrix of zeros breaks coincidence at all 12 off-diagonal entries
     matrix = tmp_path / "zeros.csv"

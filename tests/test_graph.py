@@ -1,5 +1,6 @@
 """Edge-list parsing, graph invariants, components, serialization."""
 
+import logging
 import math
 import re
 
@@ -32,11 +33,13 @@ def test_parse_basic_two_edges():
     assert not g.directed
 
 
-def test_parse_self_loop_dropped_with_count():
-    g = parse_edge_list("a\ta\t1.0", directed=False)
-    assert g.vertex_count == 1
-    assert g.edges == ()
-    assert g.self_loops_dropped == 1
+def test_parse_self_loop_dropped_with_count(caplog):
+    with caplog.at_level(logging.WARNING, logger="rsmc.graph"):
+        g = parse_edge_list("a\ta\t1.0\nb\tb\nb\tc", directed=False)
+    assert g.vertex_count == 3
+    assert g.edges == ((1, 2, 1.0),)
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("rsmc.graph", logging.WARNING, "dropped 2 self-loop(s) while parsing")]
 
 
 def test_parse_negative_weight():
@@ -113,6 +116,8 @@ def test_graph_rejects_bad_construction():
         Graph(vertex_count=2, edges=((0, 1, float("inf")),), directed=False)
     with pytest.raises(DuplicateEdgeError):
         Graph(vertex_count=2, edges=((0, 1, 1.0), (1, 0, 2.0)), directed=False)
+    with pytest.raises(ValueError, match=re.escape("got 1 labels for 2 vertices")):
+        Graph(vertex_count=2, edges=(), directed=False, labels=("a",))
 
 
 def test_graph_rejects_non_integral_vertex_index():
@@ -208,7 +213,9 @@ def test_components_trivial_cases():
     assert part.component_count == 2
     assert part.assignment[0] == part.assignment[1]
     assert part.assignment[1] != part.assignment[2]
-    assert part.components() == [[0, 1], [2, 3]]
+    assert part.assignment.tolist() == [0, 0, 1, 1]
+    count, labels = part
+    assert count == 2 and labels is part.assignment
 
 
 @settings(max_examples=60, deadline=None)
@@ -221,7 +228,9 @@ def test_components_ignore_direction(seed):
         edges=tuple((d, s, w) for s, d, w in g.edges),
         directed=True,
     )
-    assert connected_components(g).assignment == connected_components(flipped).assignment
+    ours, theirs = connected_components(g).assignment, connected_components(flipped).assignment
+    assert len(ours) == len(theirs) == g.vertex_count
+    assert all(a == b for a, b in zip(ours, theirs))
 
 
 @settings(max_examples=200, deadline=None)
@@ -235,13 +244,9 @@ def test_components_match_bfs_oracle(seed, directed):
                   if i != j and (directed or i < j) and rng.rand() < p)
     g = Graph(n, edges, directed)
     part = connected_components(g)
-    assert (part.assignment, part.component_count) == bfs_components(g)
-    assert all(type(c) is int for c in part.assignment)
+    assert (tuple(part.assignment.tolist()), part.component_count) == bfs_components(g)
+    assert part.assignment.dtype.kind == "i" and part.assignment.shape == (n,)
     assert type(part.component_count) is int
-    groups = part.components()
-    assert groups == [[v for v in range(n) if part.assignment[v] == c]
-                      for c in range(part.component_count)]
-    assert all(type(v) is int for group in groups for v in group)
 
 
 @settings(max_examples=60, deadline=None)

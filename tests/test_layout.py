@@ -150,3 +150,19 @@ def test_json_numbers_have_one_type_rule():
                 bool_tests.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert homes == ["rsm.py"]
     assert bool_tests == []
+
+
+def test_one_pair_rule_and_components_as_arrays():
+    # refine and the epsilon sweep read related pairs from community._related_pairs
+    # alone, and components stay scipy's (count, labels) arrays
+    reverse, leftovers = [], []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        leftovers += [f"{path.name}: {name}" for name in ("ComponentPartition", ".components(")
+                      if name in text]
+        for top in ast.parse(text).body:
+            reverse += [f"{path.name}: {getattr(top, 'name', None)}" for node in ast.walk(top)
+                        if isinstance(node, ast.Subscript)
+                        and ast.unparse(node) == "vals[cols, rows]"]
+    assert leftovers == []
+    assert reverse == ["community.py: _related_pairs"]

@@ -412,6 +412,12 @@ def test_spec_rejects_duplicate_or_missing_structure():
     doc["properties"] = ["P1"]
     with pytest.raises(ParseError):
         spec_from(doc)
+    spec = spec_from(spec_doc())
+    with pytest.raises(InvalidSpecError, match=re.escape(
+            "tables keyed by ['P1', 'P3'] but properties are ['P1', 'P2']")):
+        SimilaritySpec(properties=("P1", "P2"), weights=(2.0, 3.0),
+                       tables={"P1": spec.tables["P1"], "P3": spec.tables["P2"]},
+                       assignments=spec.assignments)
 
 
 def test_spec_empty_assignments():
@@ -471,6 +477,19 @@ def test_json_bad_value_types():
     doc = spec_doc(weights=(1, True))
     with pytest.raises(ParseError, match='"weights" must be an array of numbers'):
         spec_from(doc)
+    for key, value, message in (
+            ("properties", ["P1", 2], '"properties" must be an array of strings'),
+            ("properties", "P1", '"properties" must be an array of strings'),
+            ("cases", [["g1"]], '"cases" and "tables" must be objects keyed by property'),
+            ("tables", [[0]], '"cases" and "tables" must be objects keyed by property'),
+            ("cases", {"P1": "g1", "P2": ["z1", "z2"]},
+             """"cases" for 'P1' must be an array of strings"""),
+            ("cases", {"P1": ["g1", "g2", "g3"], "P2": ["z1", None]},
+             """"cases" for 'P2' must be an array of strings""")):
+        doc = spec_doc()
+        doc[key] = value
+        with pytest.raises(ParseError, match=re.escape(message)):
+            spec_from(doc)
 
 
 def test_vertex_order_is_assignment_order():
