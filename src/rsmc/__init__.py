@@ -25,7 +25,6 @@ from .errors import (
     InvalidSpecError,
     LabelError,
     MatrixValueError,
-    NegativeEpsilonError,
     NumericalError,
     ParseError,
     RsmcError,
@@ -67,7 +66,6 @@ __all__ = [
     "InvalidSpecError",
     "LabelError",
     "MatrixValueError",
-    "NegativeEpsilonError",
     "NumericalError",
     "ParseError",
     "PipelineConfig",

@@ -27,6 +27,7 @@ from .community import (
     count_maximal_communities,
     enumerate_maximal_communities,
     refine,
+    threshold,
 )
 from .datasets import builtin_dataset_names, load_builtin_dataset
 from .errors import InvalidSpecError, NumericalError, ParseError, RsmcError
@@ -90,10 +91,7 @@ class PipelineConfig:
         if given != {need}:
             raise InvalidSpecError(f"rsm {self.rsm!r} reads a {need} and no other source; "
                                    f"given: {', '.join(sorted(given)) or 'none'}")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise InvalidSpecError(f"epsilon must be a finite number >= 0, got {self.epsilon}")
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise InvalidSpecError(f"tol must be a finite number >= 0, got {self.tol}")
+        threshold(self.epsilon, self.tol)
 
 
 @dataclass(frozen=True)
@@ -258,7 +256,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
         cfg = _config_from(args, epsilon=sweep[0], tol=args.tol)
         m, _, g = resolve_rsm(cfg)
         counts = count_maximal_communities(m, sweep, cfg.tol)
-        lines = ["epsilon,communities"] + [f"{eps:g},{c}" for eps, c in zip(sweep, counts)]
+        # %g unless it prints two epsilons alike; 17 digits tell any two floats apart
+        digits = next(d for d in range(6, 18) if len({f"{e:.{d}g}" for e in sweep}) == len(sweep))
+        lines = ["epsilon,communities"] + [f"{e:.{digits}g},{c}" for e, c in zip(sweep, counts)]
         doc = "\n".join(lines) + "\n"
         outcome = (f"{min(counts)} to {max(counts)} maximal communities "
                    f"over {len(sweep)} epsilons (tol={cfg.tol:g})")

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import NegativeEpsilonError, ThresholdError
+from .errors import ThresholdError
 from .rsm import RsmMatrix
 
 log = logging.getLogger(__name__)
@@ -35,8 +35,9 @@ class EffectiveEdgeGraph:
     """Undirected unweighted graph of vertex pairs surviving refinement.
 
     ``edges`` is a read-only (m, 2) intp array of distinct pairs, u < v in
-    each row and rows ascending; it may be given as any iterable of pairs.
-    epsilon and rsm_tag record which thresholding produced the graph.
+    each row and rows strictly ascending, as ``refine`` gives them; the
+    constructor refuses any other order and never sorts. epsilon and rsm_tag
+    record which thresholding produced the graph.
     """
 
     vertex_count: int
@@ -48,20 +49,17 @@ class EffectiveEdgeGraph:
         n = self.vertex_count
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"vertex_count must be a positive integer, got {n!r}")
-        pairs = self.edges
-        if not isinstance(pairs, np.ndarray):
-            pairs = np.array(list(pairs) or np.empty((0, 2), dtype=np.intp))
+        pairs = np.asarray(self.edges)
         if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
             raise ValueError(f"edges must be (m, 2) int pairs, not {pairs.shape} {pairs.dtype}")
-        lo, hi = np.sort(pairs.astype(np.intp), axis=1).T
-        bad = (lo < 0) | (hi >= n) | (lo == hi)
+        edges = pairs.astype(np.intp)
+        u, v = edges.T
+        bad = (u < 0) | (u >= v) | (v >= n)
+        bad[1:] |= (u[1:] < u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] <= v[:-1]))
         if bad.any():
-            raise ValueError(f"edge {pairs[bad][0].tolist()} is a self-pair or outside range({n})")
-        order = np.lexsort((hi, lo))
-        lo, hi = lo[order], hi[order]
-        fresh = np.ones(len(lo), dtype=bool)
-        fresh[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-        edges = np.column_stack((lo[fresh], hi[fresh]))
+            row = int(bad.argmax())
+            raise ValueError(f"edges row {row}, {pairs[row].tolist()}, is not a pair "
+                             f"0 <= u < v < {n} after the row before it")
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "epsilon", float(self.epsilon))
@@ -83,14 +81,12 @@ class Community:
         object.__setattr__(self, "members", members)
 
 
-def _threshold(epsilon: float, tol: float) -> float:
+def threshold(epsilon: float, tol: float) -> float:
     """The strength bound epsilon + tol, after checking both terms and their sum."""
-    epsilon = float(epsilon)
-    if math.isnan(epsilon) or epsilon < 0:
-        raise NegativeEpsilonError(f"epsilon must be >= 0, got {epsilon}")
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ThresholdError(f"tol must be a nonnegative finite real, got {tol}")
+    epsilon, tol = float(epsilon), float(tol)
+    for name, value in (("epsilon", epsilon), ("tol", tol)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ThresholdError(f"{name} must be a finite number >= 0, got {value}")
     thr = epsilon + tol
     # an infinite threshold would relate +inf pairs across components
     if not math.isfinite(thr):
@@ -117,7 +113,7 @@ def refine(m: RsmMatrix, epsilon: float, tol: float = REFINE_TOL) -> EffectiveEd
     + tol. +inf entries never pass, so cross-component pairs can never share
     a community.
     """
-    edges, _ = _related_pairs(m.values, _threshold(epsilon, tol))
+    edges, _ = _related_pairs(m.values, threshold(epsilon, tol))
     return EffectiveEdgeGraph(
         vertex_count=m.n, edges=edges, epsilon=epsilon, rsm_tag=m.source_rsm
     )
@@ -252,7 +248,7 @@ def count_maximal_communities(m: RsmMatrix, epsilons: Iterable[float],
     that order. Cliques are counted, never materialised as communities.
     """
     epsilons = list(epsilons)
-    thresholds = [_threshold(e, tol) for e in epsilons]
+    thresholds = [threshold(e, tol) for e in epsilons]
     if not thresholds:
         return []
     edges, strength = _related_pairs(m.values, max(thresholds))

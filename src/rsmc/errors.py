@@ -40,10 +40,6 @@ class LabelError(RsmcError):
     """A vertex label cannot be written to the edge-list format and read back."""
 
 
-class NegativeEpsilonError(RsmcError):
-    """The community parameter must be nonnegative."""
-
-
 class ThresholdError(RsmcError, ValueError):
     """A threshold or tolerance (epsilon, tol or their sum) is out of its allowed range."""
 

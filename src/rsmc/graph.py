@@ -156,9 +156,9 @@ def parse_edge_list(text: str, directed: bool = False) -> Graph:
 
     Each line is either ``src<TAB>dst[<TAB>weight]`` (any run of spaces/tabs
     separates fields; weight defaults to 1.0) or a single token declaring an
-    isolated vertex. Lines starting with ``#`` and blank lines are skipped.
-    Vertex indices are assigned by order of first appearance; the original
-    tokens are kept as labels.
+    isolated vertex; a field starting with ``#`` comments out the rest of its
+    line, and a line left without fields is skipped. Vertex indices are
+    assigned by order of first appearance; the original tokens are labels.
 
     Self-loops are dropped (counted in one WARNING record); a repeated
     ordered pair raises DuplicateEdgeError, a negative or zero weight raises
@@ -171,7 +171,9 @@ def parse_edge_list(text: str, directed: bool = False) -> Graph:
     dropped = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
+        if "#" in raw:  # a field starting with # ends the line's fields
+            tokens = next((tokens[:i] for i, t in enumerate(tokens) if t[0] == "#"), tokens)
+        if not tokens:
             continue
         if len(tokens) == 1:
             index_of.setdefault(tokens[0], len(index_of))

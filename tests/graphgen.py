@@ -104,9 +104,9 @@ def random_eeg(rng: np.random.RandomState, n_max: int = 15) -> EffectiveEdgeGrap
         for j in range(i + 1, n)
         if rng.rand() < p
     }
-    return EffectiveEdgeGraph(
-        vertex_count=n, edges=frozenset(edges), epsilon=1.0, rsm_tag="external"
-    )
+    # pairs as refine gives them: u < v, rows strictly ascending
+    pairs = np.array(sorted(edges), dtype=np.intp).reshape(-1, 2)
+    return EffectiveEdgeGraph(vertex_count=n, edges=pairs, epsilon=1.0, rsm_tag="external")
 
 
 def edge_set(eeg: EffectiveEdgeGraph) -> set[tuple[int, int]]:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import rsmc
-from rsmc import InvalidSpecError, PipelineConfig, run_pipeline
+from rsmc import InvalidSpecError, PipelineConfig, ThresholdError, run_pipeline
 from rsmc.cli import main
 
 
@@ -121,6 +121,19 @@ def test_detect_sweep(path3, capsys):
                  "--epsilon-sweep", "0:2:1"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines() == ["epsilon,communities", "0,3", "1,2", "2,1"]
+
+
+@pytest.mark.parametrize("sweep, texts", [
+    ("1:1.000002:0.000001", ["1", "1.000001", "1.000002"]),
+    ("1:1.0000000000000004:2.220446049250313e-16",
+     ["1", "1.0000000000000002", "1.0000000000000004"]),
+    ("0:3:0.25", [f"{k / 4:g}" for k in range(13)]),
+])
+def test_detect_sweep_epsilons_print_distinctly(sweep, texts, capsys):
+    # %g's six digits unless two epsilons of the grid would print alike
+    assert main(["detect", "--builtin", "karate", "--rsm", "sdf", "--epsilon-sweep", sweep]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == texts
 
 
 def test_detect_sweep_prints_one_summary_line(path3, sim_spec, capsys):
@@ -730,7 +743,7 @@ def test_run_pipeline_config_validation():
         PipelineConfig(rsm="sdf", epsilon=1.0, input_path="x", builtin="karate")
     with pytest.raises(InvalidSpecError):
         PipelineConfig(rsm="warp", epsilon=1.0, input_path="x")
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(ThresholdError):
         PipelineConfig(rsm="sdf", epsilon=-1.0, builtin="karate")
     with pytest.raises(InvalidSpecError):
         PipelineConfig(rsm="similarity", epsilon=1.0)

@@ -72,6 +72,18 @@ def test_parse_comments_blanks_and_line_numbers():
     assert exc.value.line_number == 2
 
 
+def test_parse_field_starting_with_hash_ends_the_line():
+    # a comment may follow the fields; # inside a label is part of it
+    g = parse_edge_list("a\tb\t1.0\t# note\nc\t#d\nx#y z # w\n#d\te\n", directed=False)
+    assert g.labels == ("a", "b", "c", "x#y", "z")
+    assert g.edges == ((0, 1, 1.0), (3, 4, 1.0))
+    for text in ("a\tb\t1.0\t# note\n", "a\t#b\n", "a\t#b\n#b\tc\n", "a b #c d\n"):
+        g = parse_edge_list(text, directed=False)
+        assert parse_edge_list(serialize_edge_list(g), directed=False) == g
+    isolated = parse_edge_list("a\t#b\n", directed=False)
+    assert (isolated.labels, isolated.edges) == (("a",), ())
+
+
 def test_parse_bad_weight_token():
     with pytest.raises(ParseError):
         parse_edge_list("a\tb\theavy", directed=False)

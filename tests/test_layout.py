@@ -166,3 +166,31 @@ def test_one_pair_rule_and_components_as_arrays():
                         and ast.unparse(node) == "vals[cols, rows]"]
     assert leftovers == []
     assert reverse == ["community.py: _related_pairs"]
+
+
+def _functions(path: Path):
+    """("name" or "Class.method", node) for each top-level function and method in a module."""
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(top, ast.FunctionDef):
+            yield top.name, top
+        elif isinstance(top, ast.ClassDef):
+            yield from ((f"{top.name}.{f.name}", f) for f in top.body
+                        if isinstance(f, ast.FunctionDef))
+
+
+def test_one_threshold_rule_and_pairs_checked_not_sorted():
+    # community.threshold is the only check of epsilon and tol; the effective
+    # edge graph checks the order of refine's pairs and never sorts them again
+    callers, checks = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        for name, func in _functions(path):
+            called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                      for node in ast.walk(func) if isinstance(node, ast.Call)}
+            callers += [f"{path.name}: {name}"] * ("threshold" in called)
+            if name == "EffectiveEdgeGraph.__post_init__":
+                checks[name] = sorted(called & {"sort", "lexsort", "argsort", "unique", "sorted"})
+    assert callers == ["cli.py: PipelineConfig.__post_init__", "community.py: refine",
+                       "community.py: count_maximal_communities"]
+    assert checks == {"EffectiveEdgeGraph.__post_init__": []}
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if "NegativeEpsilonError" in path.read_text(encoding="utf-8")] == []
