@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import time
 from contextlib import nullcontext
@@ -253,7 +254,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
             raise InvalidSpecError(f"--epsilon-sweep writes csv, not --format {args.format}")
         sweep = _parse_sweep(args.epsilon_sweep)
         start = time.perf_counter()
-        cfg = _config_from(args, epsilon=sweep[0], tol=args.tol)
+        # checked at the largest epsilon, so an overflowing grid stops before the matrix is built
+        cfg = _config_from(args, epsilon=sweep[-1], tol=args.tol)
         m, _, g = resolve_rsm(cfg)
         counts = count_maximal_communities(m, sweep, cfg.tol)
         # %g unless it prints two epsilons alike; 17 digits tell any two floats apart
@@ -331,7 +333,14 @@ def cmd_datasets(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a bad argument as one ``error:`` line and exit 2; subcommand parsers inherit it."""
+    """Reports a bad argument as one ``error:`` line and exit 2, and takes any
+    negative number for a value, not an option; subcommand parsers inherit both."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern knows -1 and -.5 but reads -1e-9 and -inf as options
+        self._negative_number_matcher = re.compile(
+            r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message: str):
         self.exit(2, f"error: {message}\n")

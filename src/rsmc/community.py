@@ -94,16 +94,31 @@ def threshold(epsilon: float, tol: float) -> float:
     return thr
 
 
-def _related_pairs(vals: np.ndarray, thr: float) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs i < j with vals[i, j] and vals[j, i] both <= thr, as an (m, 2)
-    array in row-major order, and each pair's weaker strength, the larger of the two."""
-    # a flat scan is far faster than a 2-D np.nonzero; keep each pair once, i < j
-    rows, cols = np.divmod(np.flatnonzero(vals <= thr), len(vals))
-    upper = rows < cols
-    rows, cols = rows[upper], cols[upper]
-    weaker = np.maximum(vals[rows, cols], vals[cols, rows])
-    both = weaker <= thr
-    return np.column_stack([rows[both], cols[both]]), weaker[both]
+def _related_pairs(m: RsmMatrix, thr: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs u < v with m[u, v] and m[v, u] both <= thr, as an (k, 2) array
+    of ascending rows, and each pair's weaker strength, the larger of the two.
+
+    Only the matrix's blocks are scanned: every pair outside them is +inf.
+    """
+    none = np.empty(0, dtype=np.intp)  # so that no blocks still give int pairs
+    us, vs, strengths = [none], [none], [np.empty(0)]
+    for vertices, vals in m.blocks:
+        # a flat scan is far faster than a 2-D np.nonzero; keep each pair once, i < j
+        rows, cols = np.divmod(np.flatnonzero(vals <= thr), len(vals))
+        upper = rows < cols
+        rows, cols = rows[upper], cols[upper]
+        weaker = np.maximum(vals[rows, cols], vals[cols, rows])
+        both = weaker <= thr
+        us.append(vertices[rows[both]])
+        vs.append(vertices[cols[both]])
+        strengths.append(weaker[both])
+    u, v, weaker = np.concatenate(us), np.concatenate(vs), np.concatenate(strengths)
+    if len(m.blocks) > 1:
+        # each u lies in one block, whose pairs come by u and then v ascending,
+        # so a stable sort by u alone orders the rows
+        order = np.argsort(u, kind="stable")
+        u, v, weaker = u[order], v[order], weaker[order]
+    return np.column_stack([u, v]), weaker
 
 
 def refine(m: RsmMatrix, epsilon: float, tol: float = REFINE_TOL) -> EffectiveEdgeGraph:
@@ -113,7 +128,7 @@ def refine(m: RsmMatrix, epsilon: float, tol: float = REFINE_TOL) -> EffectiveEd
     + tol. +inf entries never pass, so cross-component pairs can never share
     a community.
     """
-    edges, _ = _related_pairs(m.values, threshold(epsilon, tol))
+    edges, _ = _related_pairs(m, threshold(epsilon, tol))
     return EffectiveEdgeGraph(
         vertex_count=m.n, edges=edges, epsilon=epsilon, rsm_tag=m.source_rsm
     )
@@ -134,7 +149,8 @@ def _maximal_cliques(adj: list[int]) -> list[int]:
     neighbours in P), run on an explicit stack of (R, P, X) bitset triples
     so the depth is bounded by memory rather than the recursion limit.
     Both loops walk their bitset lowest bit first. A branch whose P is empty
-    is a leaf and never goes on the stack, so ``adj`` must not be empty.
+    or one vertex is settled at once and never goes on the stack, so ``adj``
+    must not be empty.
     """
     out = []
     stack = [(0, (1 << len(adj)) - 1, 0)]
@@ -158,8 +174,12 @@ def _maximal_cliques(adj: list[int]) -> list[int]:
             bit = s & -s
             s ^= bit
             near = adj[bit.bit_length() - 1]
-            if p & near:
-                stack.append((r | bit, p & near, x & near))
+            left = p & near
+            if left & (left - 1):
+                stack.append((r | bit, left, x & near))
+            elif left:  # the branch's P is one vertex w: R + v + w, unless X extends it
+                if not x & near & adj[left.bit_length() - 1]:
+                    out.append(r | bit | left)
             elif not x & near:  # a leaf: R + v is maximal when nothing in X extends it
                 out.append(r | bit)
             p ^= bit
@@ -251,7 +271,7 @@ def count_maximal_communities(m: RsmMatrix, epsilons: Iterable[float],
     thresholds = [threshold(e, tol) for e in epsilons]
     if not thresholds:
         return []
-    edges, strength = _related_pairs(m.values, max(thresholds))
+    edges, strength = _related_pairs(m, max(thresholds))
     order = np.argsort(strength, kind="stable")
     strength, edges = strength[order], edges[order]
     counts = []

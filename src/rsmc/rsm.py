@@ -19,6 +19,7 @@ from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import NoReturn
 
@@ -74,7 +75,7 @@ def real_array(values) -> np.ndarray:
     return raw.astype(float)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class RsmMatrix:
     """Square matrix of relation strength values over extended nonnegative reals.
 
@@ -83,35 +84,69 @@ class RsmMatrix:
     a subclass) is kept as it is, so whoever made it read-only must not write to it through
     another view; any other array is copied and the copy frozen against
     writes. rsmc's own builders hand over fresh read-only arrays.
+
+    The entries are kept as ``blocks``: pairs of an ascending vertex array
+    and the read-only square block of strengths among those vertices. Every
+    entry outside the blocks is +inf, or 0 on the diagonal. A matrix given
+    as ``values`` is one block over every vertex in order, ``values`` itself.
+    ``erf_matrix`` on a graph of several components keeps one block per
+    component of 2 or more vertices, and ``values`` is assembled from them
+    the first time something reads it.
     """
 
-    values: np.ndarray
+    n: int
     source_rsm: str
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def __init__(self, values, source_rsm: str):
+        # written out because values, read lazily for blocks, is no field
+        vars(self).update(values=values, source_rsm=source_rsm)
+        self.__post_init__()
+
+    @classmethod
+    def _of_blocks(cls, n: int, blocks: Sequence[tuple[np.ndarray, np.ndarray]],
+                   source_rsm: str) -> RsmMatrix:
+        """A matrix on n vertices kept as read-only ``blocks`` no one else writes."""
+        m = cls.__new__(cls)
+        vars(m).update(n=n, blocks=tuple(blocks), source_rsm=source_rsm)
+        m.__post_init__()
+        return m
 
     def __post_init__(self):
-        arr = self.values
-        if not (type(arr) is np.ndarray and arr.dtype == np.float64
-                and not arr.flags.writeable):
-            try:
-                arr = real_array(arr)
-            except OverflowError:
-                raise MatrixValueError("matrix holds an integer too large for a float") from None
-            except (TypeError, ValueError):
-                raise MatrixValueError("matrix entries must be reals in rows of one length") from None
-            arr.setflags(write=False)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise DimensionMismatchError(f"expected a nonempty square matrix, got shape {arr.shape}")
-        lo = arr.min()  # NaN if any entry is NaN
-        if np.isnan(lo):
-            raise MatrixValueError("matrix entries must not be NaN")
-        if lo == -math.inf:
-            raise MatrixValueError("matrix entries must not be -inf")
-        object.__setattr__(self, "values", arr)
+        if "blocks" not in vars(self):  # given as values: one block over every vertex
+            arr = self.values
+            if not (type(arr) is np.ndarray and arr.dtype == np.float64
+                    and not arr.flags.writeable):
+                try:
+                    arr = real_array(arr)
+                except OverflowError:
+                    raise MatrixValueError(
+                        "matrix holds an integer too large for a float") from None
+                except (TypeError, ValueError):
+                    raise MatrixValueError(
+                        "matrix entries must be reals in rows of one length") from None
+                arr.setflags(write=False)
+            if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+                raise DimensionMismatchError(
+                    f"expected a nonempty square matrix, got shape {arr.shape}")
+            vars(self).update(values=arr, n=arr.shape[0], blocks=((np.arange(len(arr)), arr),))
+        for _, block in self.blocks:
+            lo = block.min()  # NaN if any entry is NaN
+            if np.isnan(lo):
+                raise MatrixValueError("matrix entries must not be NaN")
+            if lo == -math.inf:
+                raise MatrixValueError("matrix entries must not be -inf")
         object.__setattr__(self, "source_rsm", str(self.source_rsm))
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The read-only n x n array of all entries."""
+        values = np.full((self.n, self.n), np.inf)
+        np.fill_diagonal(values, 0.0)
+        for vertices, block in self.blocks:
+            values[np.ix_(vertices, vertices)] = block
+        values.setflags(write=False)
+        return values
 
 
 def sdf_matrix(g: Graph) -> RsmMatrix:
@@ -238,7 +273,8 @@ def erf_matrix(g: Graph) -> RsmMatrix:
     scale linearly when all weights scale. Components are solved one after
     another, an isolated vertex without a solve (its one entry is 0); the
     result is exactly symmetric. A resistance too large for a float raises
-    NumericalError.
+    NumericalError. The result keeps each component's block, and builds the
+    n x n ``values`` only when something reads it.
     """
     if g.directed:
         raise DirectedInputError("effective resistance is defined for undirected graphs only")
@@ -252,28 +288,35 @@ def erf_matrix(g: Graph) -> RsmMatrix:
             f"edge ({g.labels[s]}, {g.labels[d]}) weight {weight} is too small to invert")
 
     count, labels = connected_components(g)
-    if count == 1 and n > 1:
-        values = None
-    else:
-        values = np.full((n, n), np.inf)
-        np.fill_diagonal(values, 0.0)  # all an isolated vertex needs
+    sizes = np.bincount(labels, minlength=count)
+    # the blocks of several components share one buffer, each copied in when
+    # solved: with a buffer per block, glibc's malloc gave its heap back after
+    # every component and faulted it in again for the next, 13k page faults
+    # per call on an 8 x 400 graph
+    store = np.empty(int((sizes[sizes >= 2] ** 2).sum())) if count > 1 else None
+    blocks, used = [], 0
     local = np.empty(n, dtype=np.intp)  # each vertex's index within its component
     for comp, edges in zip(_grouped(labels, count), _grouped(labels[src], count)):
-        if len(comp) == 1:
-            continue
-        local[comp] = np.arange(len(comp))
+        k = len(comp)
+        if k == 1:
+            continue  # an isolated vertex's one entry is the diagonal's 0
+        local[comp] = np.arange(k)
         rows = np.column_stack((local[src[edges]], local[dst[edges]], conductance[edges]))
         try:
             with np.errstate(over="raise"):
-                pinv = laplacian_pseudoinverse(Graph(len(comp), rows, directed=False))
+                pinv = laplacian_pseudoinverse(Graph(k, rows, directed=False))
                 _resistances_in_place(pinv)
         except FloatingPointError:
             raise NumericalError("an effective resistance is too large for a float") from None
-        if values is None:
-            values = pinv  # one component holds every vertex, in order
-        else:
-            values[np.ix_(comp, comp)] = pinv
-    return _frozen(values, ERF_TAG)
+        if store is None:
+            return _frozen(pinv, ERF_TAG)  # one component holds every vertex, in order
+        block = store[used:used + k * k].reshape(k, k)
+        used += k * k
+        block[...] = pinv
+        for array in (comp, block):
+            array.setflags(write=False)
+        blocks.append((comp, block))
+    return RsmMatrix._of_blocks(n, blocks, ERF_TAG)
 
 
 def _grouped(keys: np.ndarray, count: int) -> list[np.ndarray]:

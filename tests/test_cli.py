@@ -106,6 +106,58 @@ def test_detect_non_finite_tol(path3, capsys, value):
     assert len(capsys.readouterr().err.splitlines()) == 2
 
 
+@pytest.mark.parametrize("option, text, line", [
+    ("--tol", "-1e-9", "error: tol must be a finite number >= 0, got -1e-09"),
+    ("--tol", "-2.5E+3", "error: tol must be a finite number >= 0, got -2500.0"),
+    ("--tol", "-inf", "error: tol must be a finite number >= 0, got -inf"),
+    ("--epsilon", "-1e-3", "error: epsilon must be a finite number >= 0, got -0.001"),
+    ("--epsilon", "-.5e1", "error: epsilon must be a finite number >= 0, got -5.0"),
+], ids=["tol-exponent", "tol-capital-exponent", "tol-minus-inf", "epsilon-exponent",
+        "epsilon-leading-point"])
+def test_negative_number_after_an_option_is_its_value(capsys, option, text, line):
+    # argparse alone reads -1e-9 as an option and says the option lacks its argument
+    base = ["detect", "--builtin", "karate", "--rsm", "erf", "--epsilon", "1"]
+    for argv in (base + [option, text], base + [f"{option}={text}"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == line + "\n"
+    assert main(["validate-rsm", "--matrix", "m.csv", "--tol", text]) == 2
+    assert "expected one argument" not in capsys.readouterr().err
+
+
+def test_detect_sweep_overflow_refused_before_the_matrix(tmp_path, capsys, monkeypatch):
+    # the grid is checked at its largest epsilon before any matrix is built
+    graph = tmp_path / "g.tsv"
+    graph.write_text("a\tb\nb\tc\n")
+    argv = ["detect", "--input", str(graph), "--rsm", "erf",
+            "--epsilon-sweep", "0:1.7e308:1e308", "--tol", "1e308"]
+    line = "error: epsilon + tol must be finite, got 1e+308 + 1e+308\n"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == line
+
+    def unreachable(g):
+        raise AssertionError("erf_matrix called")
+    monkeypatch.setattr("rsmc.cli.erf_matrix", unreachable)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == line
+
+
+def test_detect_and_sweep_never_assemble_an_erf_matrix_of_blocks(tmp_path, capsys, monkeypatch):
+    # refine and the sweep read the components' blocks; the n x n values stay unbuilt
+    graph = tmp_path / "g.tsv"
+    graph.write_text("a\tb\nb\tc\nc\ta\nd\te\nf\nc\tg\n")
+    runs = [["detect", "--input", str(graph), "--rsm", "erf", "--epsilon", "1"],
+            ["detect", "--input", str(graph), "--rsm", "erf", "--epsilon-sweep", "0:1:0.25"]]
+    outputs = []
+    for argv in runs:
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    monkeypatch.setattr(rsmc.RsmMatrix, "values",
+                        property(lambda m: pytest.fail("RsmMatrix.values was read")))
+    for argv, out in zip(runs, outputs):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+
+
 def test_detect_epsilon_relating_every_pair(tmp_path, capsys):
     # a 1200-vertex star: every pair is within distance 2, so one community
     p = tmp_path / "star.tsv"

@@ -5,6 +5,7 @@ import io
 import json
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from rsmc import (
     Community,
     EffectiveEdgeGraph,
+    Graph,
     RsmMatrix,
     ThresholdError,
     communities_to_csv,
@@ -26,6 +28,7 @@ from rsmc import (
     refine,
     sdf_matrix,
 )
+from rsmc.community import REFINE_TOL
 
 from graphgen import edge_set, path_graph, random_eeg
 from oracles import (
@@ -304,6 +307,67 @@ def test_sweep_and_enumeration_over_mostly_trivial_components(data):
     for epsilon in epsilons:
         eeg = refine(m, epsilon)
         assert enumerate_maximal_communities(eeg) == brute_force_maximal_communities(eeg)
+
+
+# ---------------------------------------------------------------------------
+# Related pairs from an erf matrix's component blocks
+# ---------------------------------------------------------------------------
+
+def _scattered_components(data) -> Graph:
+    """A graph of several components over shuffled labels: isolated vertices,
+    single edges and larger components, with weights 1 or 2 so strengths tie."""
+    sizes = data.draw(st.lists(st.sampled_from([1, 1, 2, 2, 3, 4, 5, 6]),
+                               min_size=2, max_size=7))
+    label = data.draw(st.permutations(range(sum(sizes))))
+    edges, start = [], 0
+    for k in sizes:
+        group = label[start:start + k]
+        start += k
+        for a in range(k):
+            for b in range(a + 1, k):
+                # a path through the group keeps it connected; other pairs at random
+                if b == a + 1 or data.draw(st.booleans()):
+                    edges.append((group[a], group[b], data.draw(st.sampled_from([1.0, 2.0]))))
+    return Graph(len(label), tuple(edges), directed=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_block_pairs_equal_dense_pairs(data):
+    g = _scattered_components(data)
+    blocked = erf_matrix(g)
+    dense = RsmMatrix(erf_matrix(g).values.copy(), "erf")  # one block over every vertex
+    assert len(dense.blocks) == 1
+    # epsilon + tol exactly at a strength (tol 0) or just above it, and one ulp below
+    finite = np.unique(dense.values[np.isfinite(dense.values)]).tolist()
+    picked = data.draw(st.lists(st.sampled_from(finite), min_size=1, max_size=6))
+    epsilons = picked + [float(np.nextafter(e, 0)) for e in picked]
+    for tol in (0.0, REFINE_TOL):
+        for epsilon in epsilons:
+            assert np.array_equal(refine(blocked, epsilon, tol).edges,
+                                  refine(dense, epsilon, tol).edges)
+        assert (count_maximal_communities(blocked, epsilons, tol)
+                == count_maximal_communities(dense, epsilons, tol))
+
+
+def test_sweep_over_blocks_peaks_well_below_one_whole_matrix():
+    # 8 components of 100 vertices, interleaved: one n x n float array is 5.1 MB
+    rng = np.random.RandomState(5)
+    label = rng.permutation(800)
+    pairs = set()
+    for group in label.reshape(8, 100).tolist():
+        # a path keeps each component connected; 60 chords at random
+        chords = [(group[i], group[j]) for i, j in rng.randint(0, 100, (60, 2)) if i != j]
+        pairs.update((min(a, b), max(a, b)) for a, b in list(zip(group, group[1:])) + chords)
+    g = Graph(800, tuple((a, b, 1.0) for a, b in sorted(pairs)), directed=False)
+    tracemalloc.start()
+    try:
+        counts = count_maximal_communities(erf_matrix(g), [0.5, 0.8])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert min(counts) > 8
+    assert peak < 8 * 800 ** 2 / 2  # building the whole matrix, as erf once did, peaked at 6.0 MB
 
 
 # ---------------------------------------------------------------------------

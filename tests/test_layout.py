@@ -194,3 +194,26 @@ def test_one_threshold_rule_and_pairs_checked_not_sorted():
     assert checks == {"EffectiveEdgeGraph.__post_init__": []}
     assert [path.name for path in sorted(SRC.glob("*.py"))
             if "NegativeEpsilonError" in path.read_text(encoding="utf-8")] == []
+
+
+def test_blocks_read_in_one_place_and_values_assembled_in_one():
+    # outside RsmMatrix only community._related_pairs reads a matrix's blocks, and
+    # RsmMatrix.values is the only code that fills with +inf or scatters blocks in
+    readers, fills = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for name, func in _functions(path):
+            where = f"{path.name}: {name}"
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Attribute) and node.attr == "blocks"
+                        and not name.startswith("RsmMatrix.")):
+                    readers.add(where)
+                if isinstance(node, ast.Call) and (
+                        getattr(node.func, "attr", None) == "fill_diagonal"
+                        or getattr(node.func, "attr", None) in ("full", "full_like")
+                        and "inf" in ast.unparse(node)):
+                    fills.add(where)
+                if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                        and "ix_" in ast.unparse(node.slice)):
+                    fills.add(where)
+    assert readers == {"community.py: _related_pairs"}
+    assert fills == {"rsm.py: RsmMatrix.values"}

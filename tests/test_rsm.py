@@ -3,6 +3,7 @@
 import logging
 import math
 import os
+import re
 import tracemalloc
 import warnings
 
@@ -360,6 +361,45 @@ def test_erf_with_isolated_vertices_equals_erf_without(seed):
     alone = np.arange(0, padded.vertex_count, 2)
     assert (vals[alone, alone] == 0.0).all()
     assert np.isinf(vals[alone][:, spread]).all()
+    assert vals.tobytes() == _assembled_per_component(padded).tobytes()
+
+
+def _assembled_per_component(g: Graph) -> np.ndarray:
+    """erf's n x n array built the long way: +inf, a zero diagonal, and each
+    component's own one-component erf matrix written into its rows and columns."""
+    count, labels = connected_components(g)
+    whole = np.full((g.vertex_count, g.vertex_count), np.inf)
+    np.fill_diagonal(whole, 0.0)
+    for c in range(count):
+        members = np.flatnonzero(labels == c)
+        position = {int(v): i for i, v in enumerate(members)}
+        part = Graph(len(members), tuple((position[s], position[d], w) for s, d, w in g.edges
+                                         if s in position), directed=False)
+        whole[np.ix_(members, members)] = erf_matrix(part).values
+    return whole
+
+
+def test_erf_keeps_one_block_per_component_and_assembles_values_once():
+    # two more vertices alone, and the four components interleaved over the labels
+    g4 = _four_components()
+    shuffle = np.random.RandomState(3).permutation(g4.vertex_count + 2)
+    g = Graph(g4.vertex_count + 2, tuple((int(shuffle[s]), int(shuffle[d]), w)
+                                         for s, d, w in g4.edges), directed=False)
+    m = erf_matrix(g)
+    count, labels = connected_components(g)
+    sizes = np.bincount(labels)
+    assert [vertices.tolist() for vertices, _ in m.blocks] == [
+        np.flatnonzero(labels == c).tolist() for c in range(count) if sizes[c] >= 2]
+    for vertices, block in m.blocks:
+        assert not vertices.flags.writeable and not block.flags.writeable
+        assert block.shape == (len(vertices),) * 2
+    assert m.values is m.values and not m.values.flags.writeable
+    assert m.values.tobytes() == _assembled_per_component(g).tobytes()
+    # one component holding every vertex is one block, and that block is values
+    whole = erf_matrix(load_builtin_dataset("karate"))
+    (vertices, block), = whole.blocks
+    assert block is whole.values and vertices.tolist() == list(range(34))
+    assert erf_matrix(Graph(3, (), directed=False)).blocks == ()
 
 
 def test_erf_logs_one_debug_line_per_component(caplog):
@@ -887,6 +927,15 @@ def test_matrix_construction_errors():
         RsmMatrix(np.array([[0.0, np.nan], [1.0, 0.0]]), "external")
     with pytest.raises(ValueError):
         RsmMatrix(np.array([[0.0, -np.inf], [1.0, 0.0]]), "external")
+
+
+def test_blocks_are_checked_like_values():
+    # a matrix kept as blocks refuses NaN and -inf in any block, as a dense one does
+    ok = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for bad, message in ((np.nan, "NaN"), (-np.inf, "-inf")):
+        block = np.array([[0.0, bad], [bad, 0.0]])
+        with pytest.raises(MatrixValueError, match=f"must not be {re.escape(message)}"):
+            RsmMatrix._of_blocks(5, [(np.array([0, 3]), ok), (np.array([1, 4]), block)], "erf")
 
 
 def test_matrix_is_frozen():
