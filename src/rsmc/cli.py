@@ -102,7 +102,6 @@ class PipelineResult:
     communities: list[Community]
     labels: list[str]
     graph: Graph | None
-    wall_time: float
 
     @property
     def community_count(self) -> int:
@@ -147,18 +146,10 @@ def resolve_rsm(cfg: PipelineConfig) -> tuple[RsmMatrix, list[str], Graph | None
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """Parse, build the RSM, refine at (epsilon, tol), enumerate maximal communities."""
-    start = time.perf_counter()
     m, labels, g = resolve_rsm(cfg)
     eeg = refine(m, cfg.epsilon, cfg.tol)
     communities = enumerate_maximal_communities(eeg)
-    return PipelineResult(
-        matrix=m,
-        eeg=eeg,
-        communities=communities,
-        labels=labels,
-        graph=g,
-        wall_time=time.perf_counter() - start,
-    )
+    return PipelineResult(matrix=m, eeg=eeg, communities=communities, labels=labels, graph=g)
 
 
 def _write_out(text: str, out_path: str | None) -> None:
@@ -248,25 +239,16 @@ def _config_from(args: argparse.Namespace, epsilon: float, tol: float) -> Pipeli
 def cmd_detect(args: argparse.Namespace) -> int:
     if (args.epsilon is None) == (args.epsilon_sweep is None):
         raise InvalidSpecError("exactly one of --epsilon / --epsilon-sweep is required")
-
+    sweep = None
     if args.epsilon_sweep is not None:
         if args.format not in (None, "csv"):
             raise InvalidSpecError(f"--epsilon-sweep writes csv, not --format {args.format}")
         sweep = _parse_sweep(args.epsilon_sweep)
-        start = time.perf_counter()
-        # checked at the largest epsilon, so an overflowing grid stops before the matrix is built
-        cfg = _config_from(args, epsilon=sweep[-1], tol=args.tol)
-        m, _, g = resolve_rsm(cfg)
-        counts = count_maximal_communities(m, sweep, cfg.tol)
-        # %g unless it prints two epsilons alike; 17 digits tell any two floats apart
-        digits = next(d for d in range(6, 18) if len({f"{e:.{d}g}" for e in sweep}) == len(sweep))
-        lines = ["epsilon,communities"] + [f"{e:.{digits}g},{c}" for e, c in zip(sweep, counts)]
-        doc = "\n".join(lines) + "\n"
-        outcome = (f"{min(counts)} to {max(counts)} maximal communities "
-                   f"over {len(sweep)} epsilons (tol={cfg.tol:g})")
-        seconds = time.perf_counter() - start
-    else:
-        cfg = _config_from(args, epsilon=args.epsilon, tol=args.tol)
+
+    start = time.perf_counter()
+    # a sweep checks its largest epsilon, so an overflowing grid stops before the matrix is built
+    cfg = _config_from(args, epsilon=args.epsilon if sweep is None else sweep[-1], tol=args.tol)
+    if sweep is None:
         result = run_pipeline(cfg)
         m, g = result.matrix, result.graph
         if args.format == "dot":
@@ -277,7 +259,16 @@ def cmd_detect(args: argparse.Namespace) -> int:
             doc = communities_to_json(result.communities, result.labels)
         outcome = (f"{result.community_count} maximal communities "
                    f"(epsilon={cfg.epsilon:g}, tol={cfg.tol:g})")
-        seconds = result.wall_time
+    else:
+        m, _, g = resolve_rsm(cfg)
+        counts = count_maximal_communities(m, sweep, cfg.tol)
+        # %g unless it prints two epsilons alike; 17 digits tell any two floats apart
+        digits = next(d for d in range(6, 18) if len({f"{e:.{d}g}" for e in sweep}) == len(sweep))
+        lines = ["epsilon,communities"] + [f"{e:.{digits}g},{c}" for e, c in zip(sweep, counts)]
+        doc = "\n".join(lines) + "\n"
+        outcome = (f"{min(counts)} to {max(counts)} maximal communities "
+                   f"over {len(sweep)} epsilons (tol={cfg.tol:g})")
+    seconds = time.perf_counter() - start
 
     _write_out(doc, args.out)
     edges = f", {len(g.weights)} edges" if g is not None else ""  # only a graph has edges
