@@ -22,13 +22,31 @@ log = logging.getLogger(__name__)
 Edge = tuple[int, int, float]
 
 
+def real_array(values) -> np.ndarray:
+    """A fresh float64 array of ``values``, which must be reals in rows of one length.
+
+    ``np.array(values, dtype=float)`` alone reads a string entry with
+    Python's ``float`` (so ``'1_0'`` is 10) and drops the imaginary part of
+    a complex array; here a string or complex entry raises TypeError and
+    ragged rows ValueError. An integer too large for a float raises
+    OverflowError.
+    """
+    raw = np.asarray(values)
+    if raw.dtype.kind in "USc" or raw.dtype == object and any(
+            isinstance(v, (str, bytes, complex)) for v in raw.flat):
+        raise TypeError("entries must be reals")
+    return raw.astype(float)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable weighted graph without multi-edges or self-loops.
 
     ``edges`` comes as (src, dst, weight) triples or an (m, 3) array of
     whole-number vertex indices in range and strictly positive finite weights
-    (zero is reserved for a vertex's relation to itself). Edges are kept sorted
+    (zero is reserved for a vertex's relation to itself), all reals as
+    ``real_array`` reads them: a string or complex entry raises TypeError,
+    even one ``float`` would read. Edges are kept sorted
     by (src, dst), src < dst when undirected, so equal graphs compare equal: as
     ``edges``, a tuple of (int, int, float), and as read-only ``src``, ``dst``
     (intp) and ``weights`` (float64) arrays.
@@ -58,16 +76,18 @@ class Graph:
 
 
 def _canonical_arrays(edges, n: int, directed: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Check edges as one float array and sort them; the first bad edge raises in ``_check_edge``."""
+    """Check edges as one float array and sort them; the first bad edge raises in ``_check_edge``,
+    or, if it holds a string or complex entry that ``_check_edge`` reads, in ``real_array``."""
     try:
-        arr = np.asarray(edges, dtype=float).reshape(len(edges), 3)
+        arr = real_array(edges).reshape(len(edges), 3)
     except (TypeError, ValueError, OverflowError):
-        for k, edge in enumerate(edges):  # raise at the first edge not three floats, or before
+        for k, edge in enumerate(edges):  # raise at the first edge not three reals, or before
             try:
-                np.asarray(edge, dtype=float).reshape(3)
+                real_array(edge).reshape(3)
             except (TypeError, ValueError, OverflowError):
                 _canonical_arrays(edges[:k], n, directed)
                 _check_edge(edge, n, directed)
+                raise
         raise
     s, d, w = arr.T
     ok = (s != d) & np.isfinite(w) & (w > 0)
@@ -89,6 +109,8 @@ def _canonical_arrays(edges, n: int, directed: bool) -> tuple[np.ndarray, np.nda
 def _check_edge(edge, n: int, directed: bool) -> tuple[int, int]:
     """Raise the error one input edge gets on its own, or return its canonical pair."""
     s, d, weight = edge
+    if any(isinstance(v, np.complexfloating) for v in edge):  # int() and float() of one warn
+        raise TypeError("entries must be reals")
     src, dst, weight = int(s), int(d), float(weight)
     for v, given in ((src, s), (dst, d)):
         if not 0 <= v < n:
@@ -152,13 +174,16 @@ def is_ascii_number(token: str) -> bool:
 
 
 def parse_edge_list(text: str, directed: bool = False) -> Graph:
-    """Parse a whitespace-separated edge list into a Graph.
+    """Parse a space- or tab-separated edge list into a Graph.
 
-    Each line is either ``src<TAB>dst[<TAB>weight]`` (any run of spaces/tabs
-    separates fields; weight defaults to 1.0) or a single token declaring an
-    isolated vertex; a field starting with ``#`` comments out the rest of its
-    line, and a line left without fields is skipped. Vertex indices are
-    assigned by order of first appearance; the original tokens are labels.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere else. Each line is
+    either ``src<TAB>dst[<TAB>weight]`` (any run of spaces and tabs, and
+    nothing else, separates fields; weight defaults to 1.0) or a single token
+    declaring an isolated vertex; a field starting with ``#`` comments out the
+    rest of its line, and a line left without fields is skipped. Any other
+    character, a form feed or a no-break space too, is part of its field.
+    Vertex indices are assigned by order of first appearance; the original
+    tokens are labels.
 
     Self-loops are dropped (counted in one WARNING record); a repeated
     ordered pair raises DuplicateEdgeError, a negative or zero weight raises
@@ -169,8 +194,12 @@ def parse_edge_list(text: str, directed: bool = False) -> Graph:
     edges: list[Edge] = []
     seen_pairs: set[tuple[int, int]] = set()
     dropped = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
+    # not str.splitlines and str.split: they also break at form feeds and Unicode whitespace
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").replace("\t", " ").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split(" ")
+        if "" in tokens:  # a run of separators, or one at an end of the line
+            tokens = list(filter(None, tokens))
         if "#" in raw:  # a field starting with # ends the line's fields
             tokens = next((tokens[:i] for i, t in enumerate(tokens) if t[0] == "#"), tokens)
         if not tokens:
@@ -185,7 +214,9 @@ def parse_edge_list(text: str, directed: bool = False) -> Graph:
             weight = float(tokens[2]) if len(tokens) == 3 else 1.0
         except ValueError:
             weight = math.nan
-        if math.isnan(weight) or len(tokens) == 3 and not is_ascii_number(tokens[2]):
+        # float would also read past a form feed or other whitespace around the number
+        if math.isnan(weight) or len(tokens) == 3 and not (
+                is_ascii_number(tokens[2]) and tokens[2].strip() == tokens[2]):
             raise ParseError(f"bad weight {tokens[2]!r}", lineno)
         src = index_of.setdefault(src_tok, len(index_of))
         dst = index_of.setdefault(dst_tok, len(index_of))
@@ -217,13 +248,14 @@ def serialize_edge_list(g: Graph) -> str:
     isolated vertices across a round trip), then each edge follows with its
     weight printed at full precision, so ``parse_edge_list(serialize_edge_list(g),
     g.directed) == g``. Labels are written verbatim, so a label the parser
-    would read differently (empty, holding whitespace, starting with ``#``,
-    or shared by two vertices) raises LabelError naming it.
+    would read differently (empty, holding a space, tab, ``\\n`` or ``\\r``,
+    starting with ``#``, or shared by two vertices) raises LabelError naming it.
     """
     labels = g.labels
     seen: set[str] = set()
     for label in labels:
-        if label.split() != [label] or label.startswith("#") or label in seen:
+        if (not label or any(sep in label for sep in " \t\n\r") or label[0] == "#"
+                or label in seen):
             raise LabelError(f"vertex label {label!r} cannot be written to an edge list")
         seen.add(label)
     lines = list(labels) + [f"{labels[s]}\t{labels[d]}\t{w!r}" for s, d, w in g.edges]

@@ -37,7 +37,14 @@ from .errors import (
     SingularityError,
     ThresholdError,
 )
-from .graph import Graph, connected_components, edge_csr, is_ascii_number, unreachable
+from .graph import (
+    Graph,
+    connected_components,
+    edge_csr,
+    is_ascii_number,
+    real_array,
+    unreachable,
+)
 
 log = logging.getLogger(__name__)
 
@@ -57,22 +64,6 @@ MAX_SHOWN_VIOLATIONS = 10
 #: and of the triangle check's witness search; the triangle check's tiles of
 #: sums take up to twice as much.
 _BLOCK_BYTES = 2**19
-
-
-def real_array(values) -> np.ndarray:
-    """A fresh float64 array of ``values``, which must be reals in rows of one length.
-
-    ``np.array(values, dtype=float)`` alone reads a string entry with
-    Python's ``float`` (so ``'1_0'`` is 10) and drops the imaginary part of
-    a complex array; here a string or complex entry raises TypeError and
-    ragged rows ValueError. An integer too large for a float raises
-    OverflowError.
-    """
-    raw = np.asarray(values)
-    if raw.dtype.kind in "USc" or raw.dtype == object and any(
-            isinstance(v, (str, bytes, complex)) for v in raw.flat):
-        raise TypeError("entries must be reals")
-    return raw.astype(float)
 
 
 @dataclass(frozen=True, eq=False, init=False)

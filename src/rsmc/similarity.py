@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidSpecError, NumericalError, ParseError
+from .graph import real_array
 from .rsm import (
     JSON_NUMBER_TYPES,
     MAX_SHOWN_VIOLATIONS,
@@ -23,7 +24,6 @@ from .rsm import (
     RsmMatrix,
     RsmValidationReport,
     json_int,
-    real_array,
     triangle_breaks,
     violations_at,
 )

@@ -56,6 +56,16 @@ def test_detect_json(path3, capsys):
     assert "2 maximal communities" in err
 
 
+def test_detect_reads_a_no_break_space_as_part_of_a_label(tmp_path, capsys):
+    path = tmp_path / "nbsp.tsv"
+    path.write_text("a\u00a0b\n", encoding="utf-8")
+    assert main(["detect", "--input", str(path), "--rsm", "sdf", "--epsilon", "1",
+                 "--format", "csv"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "a\u00a0b\n"
+    assert "1 vertices, 0 edges -> 1 maximal communities" in err
+
+
 def test_detect_builtin_karate(capsys):
     assert main(["detect", "--builtin", "karate", "--rsm", "erf", "--epsilon", "1.5"]) == 0
     doc = json.loads(capsys.readouterr().out)

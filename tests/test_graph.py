@@ -115,6 +115,24 @@ def test_parse_any_whitespace_run_separates_fields():
     assert exc.value.line_number == 2
 
 
+def test_parse_splits_only_at_line_ends_spaces_and_tabs():
+    # str.splitlines and str.split would also break at a no-break space or a form feed
+    g = parse_edge_list("a\u00a0b\n", directed=False)
+    assert (g.labels, g.edges) == (("a\u00a0b",), ())
+    with pytest.raises(ParseError, match="bad weight 'd'") as exc:
+        parse_edge_list("a\tb\x0cc\td\n", directed=False)
+    assert exc.value.line_number == 1
+    g = parse_edge_list("a\tb\r\nb\u2028\tc\x85\rc\x85\td\x1c\n", directed=False)
+    assert g.labels == ("a", "b", "b\u2028", "c\x85", "d\x1c")
+    assert g.edges == ((0, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0))
+    with pytest.raises(ParseError) as exc:
+        parse_edge_list("a\tb\rb\tc\r\nc\td\tx\n", directed=False)
+    assert exc.value.line_number == 3
+    for weight in ("1\x0c", "\x0b2", "3\x1f"):  # float would read each as a number
+        with pytest.raises(ParseError, match=re.escape(repr(weight))):
+            parse_edge_list(f"a\tb\t{weight}\n", directed=False)
+
+
 def test_graph_rejects_bad_construction():
     with pytest.raises(ValueError):
         Graph(vertex_count=0, edges=(), directed=False)
@@ -138,6 +156,24 @@ def test_graph_rejects_non_integral_vertex_index():
             Graph(2, edges, False)
     with pytest.raises(ValueError, match="not a whole number"):
         Graph(3, ((0, 1, 1.0), (1, 2, 1.0), (-0.25, 1, 1.0)), True)
+
+
+@pytest.mark.parametrize("edges", [
+    [("0", "1", "1_0")],
+    [("0", "1", "1")],
+    [(0, 1, b"1")],
+    [(0, 1, 2 + 3j)],
+    np.array([(0, 1, 2 + 3j)]),  # numpy would keep the real part, with a warning
+    [(0, 1, 1.0), (1, 2, "1"), (0, 7, 1.0)],  # refused before the later index out of range
+], ids=["underscore", "string", "bytes", "complex", "complex-array", "before-later-error"])
+def test_graph_refuses_string_and_complex_entries(edges):
+    with pytest.raises(TypeError):
+        Graph(3, edges, False)
+
+
+def test_graph_refuses_an_earlier_bad_edge_before_a_string():
+    with pytest.raises(ValueError, match="vertex index 5 out of range"):
+        Graph(3, [(0, 1, 1.0), (0, 5, 1.0), (1, 2, "1")], False)
 
 
 def test_graph_keeps_read_only_canonical_arrays():
@@ -321,12 +357,18 @@ def test_round_trip_keeps_isolated_vertices_and_labels():
     assert back.labels == ("lonely", "x", "y")
 
 
+def test_labels_holding_other_whitespace_round_trip():
+    g = Graph(3, ((0, 1, 1.0), (1, 2, 2.0)), False, labels=("a\u00a0b", "c\u2028", "\x0cd"))
+    assert parse_edge_list(serialize_edge_list(g), directed=False) == g
+
+
 @pytest.mark.parametrize("labels, bad", [
     (("a b", "c"), "a b"),
     (("a\tb", "c"), "a\tb"),
     (("", "c"), ""),
     (("#a", "c"), "#a"),
-    (("c", "a\u2028"), "a\u2028"),
+    (("c", "a\rb"), "a\rb"),
+    (("c", "a\nb"), "a\nb"),
     (("a", "a"), "a"),
 ])
 def test_serialize_refuses_labels_that_do_not_round_trip(labels, bad):
