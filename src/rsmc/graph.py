@@ -77,7 +77,7 @@ class Graph:
 
 def _canonical_arrays(edges, n: int, directed: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check edges as one float array and sort them; the first bad edge raises in ``_check_edge``,
-    or, if it holds a string or complex entry that ``_check_edge`` reads, in ``real_array``."""
+    or in ``real_array`` for a string or complex entry that ``_check_edge`` reads."""
     try:
         arr = real_array(edges).reshape(len(edges), 3)
     except (TypeError, ValueError, OverflowError):
@@ -254,7 +254,7 @@ def serialize_edge_list(g: Graph) -> str:
     labels = g.labels
     seen: set[str] = set()
     for label in labels:
-        if (not label or any(sep in label for sep in " \t\n\r") or label[0] == "#"
+        if (not label or any(sep in label for sep in " \t\n\r") or label.startswith("#")
                 or label in seen):
             raise LabelError(f"vertex label {label!r} cannot be written to an edge list")
         seen.add(label)

@@ -37,14 +37,7 @@ from .errors import (
     SingularityError,
     ThresholdError,
 )
-from .graph import (
-    Graph,
-    connected_components,
-    edge_csr,
-    is_ascii_number,
-    real_array,
-    unreachable,
-)
+from .graph import Graph, connected_components, edge_csr, is_ascii_number, real_array, unreachable
 
 log = logging.getLogger(__name__)
 
