@@ -10,6 +10,7 @@ memory too), 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import re
 import sys
@@ -32,7 +33,7 @@ from .community import (
 )
 from .datasets import builtin_dataset_names, load_builtin_dataset
 from .errors import InvalidSpecError, NumericalError, ParseError, RsmcError
-from .graph import Graph, is_ascii_number, parse_edge_list
+from .graph import Graph, number, parse_edge_list
 from .rsm import (
     AXIOM_TOL,
     RsmMatrix,
@@ -161,13 +162,6 @@ def _write_out(text: str, out_path: str | None) -> None:
 
 #: Largest number of epsilons one ``--epsilon-sweep`` may ask for.
 MAX_SWEEP_EPSILONS = 1_000_000
-
-
-def number(text: str) -> float:
-    """``float(text)`` of an ASCII number without ``_`` separators, the spelling files take."""
-    if not is_ascii_number(text):
-        raise ValueError(f"bad number {text!r}")
-    return float(text)
 
 
 def _parse_sweep(arg: str) -> list[float]:
@@ -383,6 +377,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if isinstance(sys.stdout, io.TextIOWrapper):  # stdout gets the UTF-8 that --out files get
+        sys.stdout.reconfigure(encoding="utf-8", errors=sys.stdout.errors)
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -164,13 +164,20 @@ def unreachable(g: Graph) -> np.ndarray:
     return apart[:, labels][labels]  # gathering whole rows last leaves it C-ordered
 
 
-def is_ascii_number(token: str) -> bool:
-    """Whether a token that ``float`` reads is spelled as the text formats allow.
+def text_lines(text: str) -> list[str]:
+    """The lines of a text input: they end at ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere else,
+    not at a form feed, ``\\x1c`` or U+2028."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
-    ``float`` alone also reads digit separators (``1_5``) and non-ASCII
-    digits such as Arabic-Indic ones; edge lists and CSV matrices take neither.
-    """
-    return token.isascii() and "_" not in token
+
+def number(token: str) -> float:
+    """``float(token)`` if the token is ASCII, without ``_`` and with nothing around it that
+    ``float`` would skip (a form feed too), as text inputs spell numbers; else ValueError."""
+    if not token.isascii() or "_" in token or token.strip() != token:
+        raise ValueError(f"bad number {token!r}")
+    return float(token)
 
 
 def parse_edge_list(text: str, directed: bool = False) -> Graph:
@@ -194,10 +201,8 @@ def parse_edge_list(text: str, directed: bool = False) -> Graph:
     edges: list[Edge] = []
     seen_pairs: set[tuple[int, int]] = set()
     dropped = 0
-    # not str.splitlines and str.split: they also break at form feeds and Unicode whitespace
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").replace("\t", " ").split("\n")
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = raw.split(" ")
+    for lineno, raw in enumerate(text_lines(text.replace("\t", " ")), start=1):
+        tokens = raw.split(" ")  # not str.split(): it also breaks at form feeds
         if "" in tokens:  # a run of separators, or one at an end of the line
             tokens = list(filter(None, tokens))
         if "#" in raw:  # a field starting with # ends the line's fields
@@ -211,12 +216,10 @@ def parse_edge_list(text: str, directed: bool = False) -> Graph:
             raise ParseError(f"expected at most 3 fields, got {len(tokens)}", lineno)
         src_tok, dst_tok = tokens[0], tokens[1]
         try:
-            weight = float(tokens[2]) if len(tokens) == 3 else 1.0
+            weight = number(tokens[2]) if len(tokens) == 3 else 1.0
         except ValueError:
             weight = math.nan
-        # float would also read past a form feed or other whitespace around the number
-        if math.isnan(weight) or len(tokens) == 3 and not (
-                is_ascii_number(tokens[2]) and tokens[2].strip() == tokens[2]):
+        if math.isnan(weight):
             raise ParseError(f"bad weight {tokens[2]!r}", lineno)
         src = index_of.setdefault(src_tok, len(index_of))
         dst = index_of.setdefault(dst_tok, len(index_of))

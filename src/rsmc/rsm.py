@@ -37,7 +37,7 @@ from .errors import (
     SingularityError,
     ThresholdError,
 )
-from .graph import Graph, connected_components, edge_csr, is_ascii_number, real_array, unreachable
+from .graph import Graph, connected_components, edge_csr, number, real_array, text_lines, unreachable
 
 log = logging.getLogger(__name__)
 
@@ -741,35 +741,34 @@ _INF_SPELLINGS = {"inf", "infinity"}
 
 
 def _csv_row(line: str, lineno: int) -> list[float]:
-    """One stripped CSV line's entries: by one ``map(float, ...)`` if it is ASCII without
-    ``_`` and finite, else token by token, where the first bad token raises ParseError."""
-    if is_ascii_number(line):  # the rule holds for a line exactly when for each of its tokens
+    """One stripped CSV line's entries: by one ``map(float, ...)`` if it is finite and made of
+    digits, signs, points, exponents, commas and spaces alone, which ``number`` reads alike,
+    else token by token with ``number``, where the first bad token raises ParseError."""
+    if not line.encode().translate(None, b"0123456789+-.eE, "):  # deletes those characters
         with suppress(ValueError):
             row = list(map(float, line.split(",")))
             if math.isfinite(sum(row)):
                 return row
     row = []
     for tok in line.split(","):
-        tok = tok.strip()
-        try:
+        tok = tok.strip(" \t")
+        try:  # float's own verdicts on the entry come before its spelling's
             v = float(tok)
+            if math.isnan(v):
+                raise ParseError(f"NaN matrix entry {tok!r}", lineno)
+            if math.isinf(v) and tok.lstrip("+-").lower() not in _INF_SPELLINGS:
+                raise ParseError(f"matrix entry {tok!r} is too large for a float", lineno)
+            row.append(number(tok))
         except ValueError:
             raise ParseError(f"bad matrix entry {tok!r}", lineno) from None
-        if math.isnan(v):
-            raise ParseError(f"NaN matrix entry {tok!r}", lineno)
-        if math.isinf(v) and tok.lstrip("+-").lower() not in _INF_SPELLINGS:
-            raise ParseError(f"matrix entry {tok!r} is too large for a float", lineno)
-        if not is_ascii_number(tok):
-            raise ParseError(f"bad matrix entry {tok!r}", lineno)
-        row.append(v)
     return row
 
 
 def rsm_from_csv(text: str) -> RsmMatrix:
     """Read a CSV matrix line by line into one float64 array; a shape error comes last."""
     rows = _Rows(len(text))
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if line := raw.strip():
+    for lineno, raw in enumerate(text_lines(text), start=1):
+        if line := raw.strip(" \t"):
             rows.add(_csv_row(line, lineno))
     if not rows.count:
         raise ParseError("empty matrix")

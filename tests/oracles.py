@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import deque
 from itertools import combinations
 
 import numpy as np
 
 from rsmc import Community, DimensionMismatchError, Graph, ParseError, RsmMatrix, Violation
-from rsmc.graph import is_ascii_number
 from rsmc.rsm import AXIOM_TOL
 
 
@@ -463,15 +463,20 @@ def _frozen(values: np.ndarray, tag: str) -> RsmMatrix:
 
 
 def token_loop_csv_rsm(text: str) -> RsmMatrix:
-    """A CSV matrix read token by token into lists, then into one array."""
+    """A CSV matrix read token by token into lists, then into one array.
+
+    Lines end at \\n, \\r\\n or \\r; spaces and tabs around a line or an entry
+    are dropped. An entry is ASCII, without ``_`` and with nothing left around it
+    that ``float`` would skip, a form feed too.
+    """
     rows: list[list[float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for lineno, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
+        line = raw.strip(" \t")
         if not line:
             continue
         row = []
         for tok in line.split(","):
-            tok = tok.strip()
+            tok = tok.strip(" \t")
             try:
                 v = float(tok)
             except ValueError:
@@ -480,7 +485,7 @@ def token_loop_csv_rsm(text: str) -> RsmMatrix:
                 raise ParseError(f"NaN matrix entry {tok!r}", lineno)
             if math.isinf(v) and tok.lstrip("+-").lower() not in _INF_SPELLINGS:
                 raise ParseError(f"matrix entry {tok!r} is too large for a float", lineno)
-            if not is_ascii_number(tok):
+            if not tok.isascii() or "_" in tok or tok != tok.strip():
                 raise ParseError(f"bad matrix entry {tok!r}", lineno)
             row.append(v)
         rows.append(row)

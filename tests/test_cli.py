@@ -258,9 +258,14 @@ def exit_code(argv):
     ["validate-rsm", "--matrix", "{matrix}", "--tol", "1_0"],
     ["frobnicate"],
     [],
+    ["detect", "--input", "{path3}", "--rsm", "sdf", "--epsilon", "1\f"],
+    ["detect", "--input", "{path3}", "--rsm", "sdf", "--epsilon", "1", "--tol", "\v1e-9"],
+    ["detect", "--input", "{path3}", "--rsm", "sdf", "--epsilon-sweep", "0:1\f:0.5"],
+    ["validate-rsm", "--matrix", "{matrix}", "--tol", "1e-8\x1c"],
 ], ids=["epsilon-separator", "epsilon-arabic-indic", "sweep-separator", "sweep-arabic-indic",
         "epsilon-word", "detect-tol-separator", "validate-rsm-tol-separator",
-        "unknown-command", "no-command"])
+        "unknown-command", "no-command", "epsilon-form-feed", "detect-tol-vertical-tab",
+        "sweep-form-feed", "validate-rsm-tol-file-separator"])
 def test_bad_argument_is_one_error_line(path3, tmp_path, capsys, argv):
     # numbers on the command line follow the spelling rule of numbers in files
     matrix = tmp_path / "m.csv"
@@ -496,7 +501,8 @@ def test_bare_json_array_goes_to_the_json_reader(tmp_path, capsys, argv):
     ("a\tb\t1\nb\tc\t\u0663\n", ["detect", "--input", "{f}", "--rsm", "sdf"],
      "line 2: bad weight '\u0663'"),
     ("0,1_0\n1_0,0\n", ["detect", "--matrix", "{f}"], "line 1: bad matrix entry '1_0'"),
-], ids=["edge-list-separator", "edge-list-arabic-indic", "csv-separator"])
+    ("0,1\f1,0\n", ["detect", "--matrix", "{f}"], "line 1: bad matrix entry '1\\x0c1'"),
+], ids=["edge-list-separator", "edge-list-arabic-indic", "csv-separator", "csv-form-feed"])
 def test_number_that_is_not_plain_ascii_exits_2(tmp_path, capsys, text, argv, message):
     f = tmp_path / "input.txt"
     f.write_text(text, encoding="utf-8")
@@ -635,6 +641,22 @@ def run_python_m_rsmc(*args: str, env: dict | None = None, **kwargs):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "rsmc", *args], capture_output=True,
                           text=True, env=env, timeout=60, **kwargs)
+
+
+def test_stdout_is_utf8_whatever_the_locale(tmp_path):
+    # an ASCII stdout would turn a non-ASCII label into a traceback and exit 1
+    graph, out, spec = tmp_path / "g.tsv", tmp_path / "out.csv", tmp_path / "spec.json"
+    graph.write_text("\u03bb\tb\t1\nb\tc\t1\n", encoding="utf-8")
+    spec.write_text(_spec_text("1").replace('"P"', '"di\u00e4t"'), encoding="utf-8")
+    ascii_stdout = {"PYTHONIOENCODING": "ascii"}
+    detect = ["detect", "--input", str(graph), "--rsm", "sdf", "--epsilon", "1", "--format", "csv"]
+    proc = run_python_m_rsmc(*detect, env=ascii_stdout, encoding="utf-8")
+    assert proc.returncode == 0
+    assert run_python_m_rsmc(*detect, "--out", str(out)).returncode == 0
+    assert proc.stdout == out.read_text(encoding="utf-8") and "\u03bb" in proc.stdout
+    proc = run_python_m_rsmc("validate-similarity", "--spec", str(spec), env=ascii_stdout,
+                             encoding="utf-8")
+    assert (proc.returncode, proc.stdout) == (0, "table 'di\u00e4t': pass\nspec: pass\n")
 
 
 def test_python_m_rsmc_runs_the_cli():

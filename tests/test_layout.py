@@ -237,3 +237,13 @@ def test_one_detect_run():
     assert configs == 1
     assert [path.name for path in sorted(SRC.glob("*.py"))
             if "wall_time" in path.read_text(encoding="utf-8")] == []
+
+
+def test_one_text_rule():
+    # edge lists and CSV matrices split lines with graph.text_lines, and graph.number
+    # alone holds the spelling of a number, for files and the command line alike
+    texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert [name for name, text in texts.items() if "splitlines" in text] == []
+    assert [name for name, text in texts.items() if "is_ascii_number" in text] == []
+    assert _callers("isascii") == ["graph.py: number"]
+    assert _callers("text_lines") == ["graph.py: parse_edge_list", "rsm.py: rsm_from_csv"]

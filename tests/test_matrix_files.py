@@ -193,7 +193,12 @@ def test_json_reader_matches_json_loads_on_edge_cases(text):
     "0,1e400\n1,0\n",
     "0,\u0663\n1,0\n",
     "0,inf\n-inf,0\n",
-], ids=range(10))
+    "0,1\f1,0\n",
+    "0,1\u20281,0\n",
+    "0,1\x851,0\n",
+    "0, 1\n1,0\n",
+    "0,\t1\n1 ,0\n",
+], ids=range(15))
 def test_csv_reader_matches_token_loop_on_edge_cases(text):
     assert outcome(rsm_from_csv, text) == outcome(token_loop_csv_rsm, text)
 
