@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 from .errors import ThresholdError
 from .rsm import RsmMatrix
@@ -142,15 +142,18 @@ def _bits(s: int) -> Iterator[int]:
         s ^= low
 
 
-def _maximal_cliques(adj: list[int]) -> list[int]:
+def _maximal_cliques(adj: list[int], degrees: list[int]) -> list[int]:
     """Every maximal clique of the graph with neighbourhoods ``adj``, as bitsets.
 
     Bron-Kerbosch with Tomita's pivot (the vertex of P | X with the most
     neighbours in P), run on an explicit stack of (R, P, X) bitset triples
     so the depth is bounded by memory rather than the recursion limit.
-    Both loops walk their bitset lowest bit first. A branch whose P is empty
-    or one vertex is settled at once and never goes on the stack, so ``adj``
-    must not be empty.
+    Both loops walk their bitset lowest bit first. ``degrees`` bound each
+    vertex's neighbour count from above and must not rise in bit order, so
+    the pivot scan stops at the first vertex whose bound is at most the best
+    count so far: every later vertex could only tie, and a tie keeps the
+    earlier pivot. A branch whose P is empty or one vertex is settled at once
+    and never goes on the stack, so ``adj`` must not be empty.
     """
     out = []
     stack = [(0, (1 << len(adj)) - 1, 0)]
@@ -164,6 +167,8 @@ def _maximal_cliques(adj: list[int]) -> list[int]:
             low = s & -s
             s ^= low
             u = low.bit_length() - 1
+            if degrees[u] <= best:
+                break
             count = (p & adj[u]).bit_count()
             if count > best:
                 pivot, best = u, count
@@ -187,32 +192,46 @@ def _maximal_cliques(adj: list[int]) -> list[int]:
     return out
 
 
-def _component_cliques(n: int, edges: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, list[int]]]]:
-    """Components of the graph on n vertices with ``edges``, and the cliques of the large ones.
+def _components(n: int, edges: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Components of the graph on n vertices with ``edges``, ready for the clique search.
 
-    Returns each vertex's component label, each component's size, and for
-    every component of 3 or more vertices its vertices ascending with its
-    maximal cliques as bitsets in which bit i stands for vertices[i]. A
-    component of 1 or 2 vertices is its own one maximal clique, so callers
-    take those in bulk and only the larger ones are searched, each with
-    bitsets only as wide as itself.
+    Returns each vertex's component label, each component's size, each
+    vertex's degree, and the vertices of every component of 3 or more
+    vertices, one component after another in label order, each by
+    descending degree, ties by index: the bit order ``_maximal_cliques``
+    wants. A component of 1 or 2 vertices is its own one maximal clique, so
+    callers take those in bulk and search only the larger ones.
     """
     u, v = edges.T
     count, labels = connected_components(
         csr_matrix((np.ones(len(u), dtype=bool), (u, v)), shape=(n, n)), directed=False)
     sizes = np.bincount(labels, minlength=count)
-    large = sizes >= 3
-    if not large.any():
+    degrees = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+    order = np.flatnonzero(sizes[labels] >= 3)
+    # lexsort is stable and order ascending, so equal degrees keep index order
+    order = order[np.lexsort((-degrees[order], labels[order]))]
+    return labels, sizes, degrees, order
+
+
+def _component_cliques(n: int, edges: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, list[int]]]]:
+    """Components of the graph on n vertices with ``edges``, and the cliques of the large ones.
+
+    Returns each vertex's component label, each component's size, and for
+    every component of 3 or more vertices its vertices in ``_components``'
+    order with its maximal cliques as bitsets in which bit i stands for
+    vertices[i], each bitset only as wide as its component.
+    """
+    labels, sizes, degrees, order = _components(n, edges)
+    if not len(order):
         return labels, sizes, []
-    # the vertices of the large components, one component after another,
-    # each ascending; their permuted adjacency is block diagonal, so each
-    # component's rows are one run and its neighbourhoods one run of bits
-    order = np.flatnonzero(large[labels])
-    order = order[np.argsort(labels[order], kind="stable")]
+    # the permuted adjacency of the large components is block diagonal, so
+    # each component's rows are one run and its neighbourhoods one run of bits
     position = np.empty(n, dtype=np.intp)
     position[order] = np.arange(len(order))
-    inside = large[labels[u]]
+    u, v = edges.T
+    inside = sizes[labels[u]] >= 3
     pu, pv = position[u[inside]], position[v[inside]]
     dense = np.zeros((len(order), len(order)), dtype=bool)
     dense[pu, pv] = True
@@ -220,12 +239,14 @@ def _component_cliques(n: int, edges: np.ndarray
     packed = np.packbits(dense, axis=1, bitorder="little")
     searched = []
     start = 0
-    for k in sizes[large].tolist():
+    for k in sizes[sizes >= 3].tolist():
         # only the bytes holding this component's run of bits
         rows = packed[start:start + k, start >> 3:(start + k + 7) >> 3]
         shift, mask = start & 7, (1 << k) - 1
-        searched.append((order[start:start + k], _maximal_cliques(
-            [(int.from_bytes(row.tobytes(), "little") >> shift) & mask for row in rows])))
+        vertices = order[start:start + k]
+        searched.append((vertices, _maximal_cliques(
+            [(int.from_bytes(row.tobytes(), "little") >> shift) & mask for row in rows],
+            degrees[vertices].tolist())))
         start += k
     return labels, sizes, searched
 
@@ -237,10 +258,12 @@ def enumerate_maximal_communities(eeg: EffectiveEdgeGraph) -> list[Community]:
     an iterative Bron-Kerbosch search with Tomita pivoting over int bitsets:
     R, P, X and every neighbourhood are bitsets as wide as the component, so
     each step is an AND and a popcount, and the search keeps its own stack,
-    so graphs of any size and density take the same path. Isolated vertices
-    come out as singletons. Output is canonically ordered (members
-    ascending, communities lexicographic) so runs and implementations can be
-    compared as plain lists.
+    so graphs of any size and density take the same path. A component's bits
+    run by descending degree, so the pivot scan can stop at the first vertex
+    too sparse to beat the best pivot so far. Isolated vertices come out as
+    singletons. Output is canonically ordered (members ascending,
+    communities lexicographic) so runs and implementations can be compared
+    as plain lists.
     """
     n, edges = eeg.vertex_count, eeg.edges
     labels, sizes, searched = _component_cliques(n, edges)
@@ -250,11 +273,37 @@ def enumerate_maximal_communities(eeg: EffectiveEdgeGraph) -> list[Community]:
     found += map(tuple, edges[sizes[labels[edges[:, 0]]] == 2].tolist())
     for vertices, cliques in searched:
         local = vertices.tolist()
-        found += [tuple(local[i] for i in _bits(c)) for c in cliques]
+        found += [tuple(sorted([local[i] for i in _bits(c)])) for c in cliques]
     return [
         Community(members=frozenset(c), epsilon=eeg.epsilon, rsm_tag=eeg.rsm_tag)
         for c in sorted(found)
     ]
+
+
+def _forest_merges(n: int, edges: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Where the pairs ``edges``, taken in order, join two components.
+
+    Returns the positions of those pairs in ``edges``, ascending, and the
+    largest component after each. They are the edges of one spanning forest:
+    the minimum one when each pair weighs its position, which scipy finds.
+    """
+    u, v = edges.T
+    rank = np.arange(1, len(u) + 1, dtype=float)  # weights of 0 would be no edge
+    forest = minimum_spanning_tree(csr_matrix((rank, (u, v)), shape=(n, n))).tocoo()
+    first = np.argsort(forest.data)
+    # union-find over the forest's edges in order; each joins two trees
+    parent, size = list(range(n)), [1] * n
+    largest, best = [], 1
+    for a, b in zip(forest.row[first].tolist(), forest.col[first].tolist()):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        parent[b] = a
+        size[a] += size[b]
+        best = max(best, size[a])
+        largest.append(best)
+    return forest.data[first].astype(np.intp) - 1, largest
 
 
 def count_maximal_communities(m: RsmMatrix, epsilons: Iterable[float],
@@ -265,7 +314,12 @@ def count_maximal_communities(m: RsmMatrix, epsilons: Iterable[float],
     e, and raises the same errors for a bad epsilon or tol. The matrix is
     scanned once, for refine's pairs at the largest threshold, which are
     sorted by their weaker strength, so each epsilon's edges are a prefix of
-    that order. Cliques are counted, never materialised as communities.
+    that order. Components are labelled once, at the largest threshold.
+    Walking the thresholds upwards, each epsilon's new pairs are ORed into
+    the bitsets of their component, and each component of 3 or more vertices
+    is searched as it stands; it holds every smaller component it splits
+    into at that epsilon, and the search finds them too.
+    Cliques are counted, never materialised as communities.
     """
     epsilons = list(epsilons)
     thresholds = [threshold(e, tol) for e in epsilons]
@@ -274,18 +328,43 @@ def count_maximal_communities(m: RsmMatrix, epsilons: Iterable[float],
     edges, strength = _related_pairs(m, max(thresholds))
     order = np.argsort(strength, kind="stable")
     strength, edges = strength[order], edges[order]
-    counts = []
-    for epsilon, thr in zip(epsilons, thresholds):
-        stop = int(np.searchsorted(strength, thr, side="right"))
-        _, sizes, searched = _component_cliques(m.n, edges[:stop])
-        # a component of 1 or 2 vertices is one clique; only larger ones were searched
-        found = int(np.count_nonzero(sizes <= 2)) + sum(len(c) for _, c in searched)
+    stops = np.searchsorted(strength, thresholds, side="right").tolist()
+
+    labels, sizes, degrees, vertices = _components(m.n, edges)
+    large = sizes >= 3
+    ks = sizes[large]
+    starts = np.cumsum(ks) - ks
+    # the pairs inside large components, in strength order, as (component,
+    # bit of u, bit of v); every other pair is the one pair of a 2-vertex component
+    inside = np.flatnonzero(large[labels[edges[:, 0]]])
+    u, v = edges[inside].T
+    bit = np.empty(m.n, dtype=np.intp)
+    bit[vertices] = np.arange(len(vertices)) - np.repeat(starts, ks)
+    new = list(zip((np.cumsum(large) - 1)[labels[u]].tolist(), bit[u].tolist(), bit[v].tolist()))
+    adjs = [[0] * k for k in ks.tolist()]
+    bounds = [degrees[vertices[s:s + k]].tolist() for s, k in zip(starts.tolist(), ks.tolist())]
+    trivial = m.n - len(vertices)  # vertices outside large components
+
+    found, done = {}, 0
+    for stop in sorted(set(stops)):
+        upto = int(np.searchsorted(inside, stop))
+        for c, a, b in new[done:upto]:
+            adjs[c][a] |= 1 << b
+            adjs[c][b] |= 1 << a
+        # each pair of a 2-vertex component in the prefix joins its two singletons
+        found[stop] = trivial - (stop - upto) + sum(
+            len(_maximal_cliques(adj, bound)) for adj, bound in zip(adjs, bounds))
+        done = upto
+
+    merged, largest = _forest_merges(m.n, edges)
+    for epsilon, stop in zip(epsilons, stops):
+        joins = int(np.searchsorted(merged, stop))
         log.debug(
             "epsilon %g: %d related pairs, %d components (largest %d), "
-            "%d maximal communities", epsilon, stop, len(sizes), sizes.max(), found,
+            "%d maximal communities", epsilon, stop, m.n - joins,
+            largest[joins - 1] if joins else 1, found[stop],
         )
-        counts.append(found)
-    return counts
+    return [found[stop] for stop in stops]
 
 
 # ---------------------------------------------------------------------------

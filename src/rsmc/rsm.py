@@ -741,13 +741,17 @@ _INF_SPELLINGS = {"inf", "infinity"}
 
 
 def _csv_row(line: str, lineno: int) -> list[float]:
-    """One stripped CSV line's entries: by one ``map(float, ...)`` if it is finite and made of
-    digits, signs, points, exponents, commas and spaces alone, which ``number`` reads alike,
-    else token by token with ``number``, where the first bad token raises ParseError."""
-    if not line.encode().translate(None, b"0123456789+-.eE, "):  # deletes those characters
+    """One stripped CSV line's entries: by one ``map(float, ...)`` if it is made of digits,
+    signs, points, exponents, commas, spaces and the token ``inf`` alone, which ``number``
+    reads alike, and its only infinite entries are its ``inf`` tokens, each +inf; else token
+    by token with ``number``, where the first bad token raises ParseError."""
+    if not line.replace("inf", "").encode().translate(None, b"0123456789+-.eE, "):
         with suppress(ValueError):
             row = list(map(float, line.split(",")))
-            if math.isfinite(sum(row)):
+            # a finite sum is the cheap test; else each inf token is +-inf, so equal counts
+            # and no -inf leave out -inf and literals too large for a float
+            if math.isfinite(sum(row)) or (row.count(math.inf) == line.count("inf")
+                                           and -math.inf not in row):
                 return row
     row = []
     for tok in line.split(","):

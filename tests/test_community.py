@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from rsmc import (
     Community,
@@ -28,6 +30,7 @@ from rsmc import (
     refine,
     sdf_matrix,
 )
+from rsmc import community
 from rsmc.community import REFINE_TOL
 
 from graphgen import edge_set, path_graph, random_eeg
@@ -307,6 +310,86 @@ def test_sweep_and_enumeration_over_mostly_trivial_components(data):
     for epsilon in epsilons:
         eeg = refine(m, epsilon)
         assert enumerate_maximal_communities(eeg) == brute_force_maximal_communities(eeg)
+
+
+class _Lines(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sweep_debug_lines_count_each_epsilons_components(data):
+    # the sweep labels components once; each epsilon's count and largest
+    # component must still be those of a labelling at that epsilon
+    vals = _mostly_trivial_matrix(data)
+    epsilons = data.draw(st.lists(st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0]),
+                                  min_size=1, max_size=4))
+    m = RsmMatrix(vals, "external")
+    expected = []
+    for epsilon in epsilons:
+        eeg = refine(m, epsilon)
+        u, v = eeg.edges.T
+        count, labels = connected_components(
+            csr_matrix((np.ones(len(u)), (u, v)), shape=(m.n, m.n)))
+        expected.append(f"epsilon {epsilon:g}: {len(u)} related pairs, {count} components "
+                        f"(largest {np.bincount(labels).max()}), "
+                        f"{len(enumerate_maximal_communities(eeg))} maximal communities")
+    logger, handler = logging.getLogger("rsmc.community"), _Lines()
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        count_maximal_communities(m, epsilons)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    assert handler.lines == expected
+
+
+def test_sweep_labels_components_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return connected_components(*args, **kwargs)
+
+    monkeypatch.setattr(community, "connected_components", counted)
+    m = erf_matrix(load_builtin_dataset("karate"))
+    for epsilons in ([1.5], [0.1 * k for k in range(21)]):
+        calls.clear()
+        counts = count_maximal_communities(m, epsilons)
+        assert len(calls) <= 1
+        assert counts == [len(enumerate_maximal_communities(refine(m, e))) for e in epsilons]
+
+
+def _hub_and_triangles():
+    """Strengths on 11 vertices: triangles {0, 1, 2}, {3, 4, 5} and {6, 7, 8} at 1,
+    a bridge {5, 6} at 1.5, and the hub 10, with the largest label and the most
+    neighbours, at 2 to the first and last triangles; vertex 9 is alone."""
+    vals = np.full((11, 11), np.inf)
+    np.fill_diagonal(vals, 0.0)
+    for pairs, strength in (([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
+                              (6, 7), (6, 8), (7, 8)], 1.0), ([(5, 6)], 1.5),
+                            ([(v, 10) for v in (0, 1, 2, 6, 7, 8)], 2.0)):
+        for u, v in pairs:
+            vals[u, v] = vals[v, u] = strength
+    return vals
+
+
+def test_hub_with_the_largest_label_leads_the_bit_order():
+    vals = _hub_and_triangles()
+    m = RsmMatrix(vals, "external")
+    eeg = refine(m, 2.0)
+    found = enumerate_maximal_communities(eeg)
+    assert found == brute_force_maximal_communities(eeg)
+    assert members(found) == [(0, 1, 2, 10), (3, 4, 5), (5, 6), (6, 7, 8, 10), (9,)]
+    epsilons = [2.0, 0.0, 1.0, 1.5, 2.5]
+    assert count_maximal_communities(m, epsilons) == loop_sweep_counts(vals, epsilons, REFINE_TOL)
 
 
 # ---------------------------------------------------------------------------

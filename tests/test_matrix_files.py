@@ -198,7 +198,17 @@ def test_json_reader_matches_json_loads_on_edge_cases(text):
     "0,1\x851,0\n",
     "0, 1\n1,0\n",
     "0,\t1\n1 ,0\n",
-], ids=range(15))
+    "0,inf\ninf,0\n",
+    "0, +inf \n inf,0\n",
+    "0,1e400\ninf,0\n",
+    "0,-inf\ninf,0\n",
+    "0,Inf\ninf,0\n",
+    "0,infinity\ninf,0\n",
+    "0,1inf\ninf,0\n",
+    "0,infinf\ninf,0\n",
+    "inf,1e400\ninf,0\n",
+    "1e400,-inf\ninf,0\n",
+], ids=range(25))
 def test_csv_reader_matches_token_loop_on_edge_cases(text):
     assert outcome(rsm_from_csv, text) == outcome(token_loop_csv_rsm, text)
 
