@@ -192,63 +192,49 @@ def _maximal_cliques(adj: list[int], degrees: list[int]) -> list[int]:
     return out
 
 
-def _components(n: int, edges: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Components of the graph on n vertices with ``edges``, ready for the clique search.
+def _component_bitsets(n: int, edges: np.ndarray) -> tuple[
+        np.ndarray, np.ndarray, list[tuple[np.ndarray, list[int], list[int]]],
+        np.ndarray, np.ndarray]:
+    """Components of the graph on n vertices with ``edges``, packed for the clique search.
 
-    Returns each vertex's component label, each component's size, each
-    vertex's degree, and the vertices of every component of 3 or more
-    vertices, one component after another in label order, each by
-    descending degree, ties by index: the bit order ``_maximal_cliques``
-    wants. A component of 1 or 2 vertices is its own one maximal clique, so
-    callers take those in bulk and search only the larger ones.
+    Returns each vertex's component label and each component's size; for
+    every component of 3 or more vertices, in label order, its vertices by
+    descending degree, ties by index (the bit order ``_maximal_cliques``
+    wants), each one's neighbourhood as a bitset in which bit i stands for
+    vertices[i], and their degrees; and the positions in ``edges`` of the
+    pairs inside those components, ascending, with each one's (component,
+    bit, bit) as rows of an array. A component of 1 or 2 vertices is its own
+    one maximal clique, so callers take those in bulk.
     """
     u, v = edges.T
     count, labels = connected_components(
         csr_matrix((np.ones(len(u), dtype=bool), (u, v)), shape=(n, n)), directed=False)
     sizes = np.bincount(labels, minlength=count)
     degrees = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
-    order = np.flatnonzero(sizes[labels] >= 3)
+    large = sizes >= 3
+    ks = sizes[large]
+    ends = np.cumsum(ks)
+    order = np.flatnonzero(large[labels])
     # lexsort is stable and order ascending, so equal degrees keep index order
     order = order[np.lexsort((-degrees[order], labels[order]))]
-    return labels, sizes, degrees, order
-
-
-def _component_cliques(n: int, edges: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, list[int]]]]:
-    """Components of the graph on n vertices with ``edges``, and the cliques of the large ones.
-
-    Returns each vertex's component label, each component's size, and for
-    every component of 3 or more vertices its vertices in ``_components``'
-    order with its maximal cliques as bitsets in which bit i stands for
-    vertices[i], each bitset only as wide as its component.
-    """
-    labels, sizes, degrees, order = _components(n, edges)
-    if not len(order):
-        return labels, sizes, []
-    # the permuted adjacency of the large components is block diagonal, so
-    # each component's rows are one run and its neighbourhoods one run of bits
-    position = np.empty(n, dtype=np.intp)
-    position[order] = np.arange(len(order))
-    u, v = edges.T
-    inside = sizes[labels[u]] >= 3
-    pu, pv = position[u[inside]], position[v[inside]]
-    dense = np.zeros((len(order), len(order)), dtype=bool)
-    dense[pu, pv] = True
-    dense[pv, pu] = True
-    packed = np.packbits(dense, axis=1, bitorder="little")
-    searched = []
-    start = 0
-    for k in sizes[sizes >= 3].tolist():
-        # only the bytes holding this component's run of bits
-        rows = packed[start:start + k, start >> 3:(start + k + 7) >> 3]
-        shift, mask = start & 7, (1 << k) - 1
-        vertices = order[start:start + k]
-        searched.append((vertices, _maximal_cliques(
-            [(int.from_bytes(row.tobytes(), "little") >> shift) & mask for row in rows],
-            degrees[vertices].tolist())))
-        start += k
-    return labels, sizes, searched
+    bit = np.empty(n, dtype=np.intp)
+    bit[order] = np.arange(len(order)) - np.repeat(ends - ks, ks)
+    inside = np.flatnonzero(large[labels[u]])
+    pairs = np.column_stack([(np.cumsum(large) - 1)[labels[u[inside]]],
+                             bit[u[inside]], bit[v[inside]]])
+    # one stable sort groups the pairs by component, and each component is
+    # packed from its own k x k square, so memory is bounded by the largest
+    grouped = np.split(pairs[np.argsort(pairs[:, 0], kind="stable"), 1:],
+                       np.cumsum(np.bincount(pairs[:, 0], minlength=len(ks)))[:-1])
+    components = []
+    for k, vertices, (a, b) in zip(ks.tolist(), np.split(order, ends[:-1]),
+                                   (g.T for g in grouped)):
+        square = np.zeros((k, k), dtype=bool)
+        square[a, b] = square[b, a] = True
+        adj = [int.from_bytes(row.tobytes(), "little")
+               for row in np.packbits(square, axis=1, bitorder="little")]
+        components.append((vertices, adj, degrees[vertices].tolist()))
+    return labels, sizes, components, inside, pairs
 
 
 def enumerate_maximal_communities(eeg: EffectiveEdgeGraph) -> list[Community]:
@@ -266,14 +252,15 @@ def enumerate_maximal_communities(eeg: EffectiveEdgeGraph) -> list[Community]:
     as plain lists.
     """
     n, edges = eeg.vertex_count, eeg.edges
-    labels, sizes, searched = _component_cliques(n, edges)
+    labels, sizes, components, _, _ = _component_bitsets(n, edges)
     # components of 1 or 2 vertices are their own cliques: isolated vertices
     # and edges whose ends have no other neighbour, each row already u < v
     found = [(v,) for v in np.flatnonzero(sizes[labels] == 1).tolist()]
     found += map(tuple, edges[sizes[labels[edges[:, 0]]] == 2].tolist())
-    for vertices, cliques in searched:
+    for vertices, adj, bound in components:
         local = vertices.tolist()
-        found += [tuple(sorted([local[i] for i in _bits(c)])) for c in cliques]
+        found += [tuple(sorted([local[i] for i in _bits(c)]))
+                  for c in _maximal_cliques(adj, bound)]
     return [
         Community(members=frozenset(c), epsilon=eeg.epsilon, rsm_tag=eeg.rsm_tag)
         for c in sorted(found)
@@ -314,12 +301,13 @@ def count_maximal_communities(m: RsmMatrix, epsilons: Iterable[float],
     e, and raises the same errors for a bad epsilon or tol. The matrix is
     scanned once, for refine's pairs at the largest threshold, which are
     sorted by their weaker strength, so each epsilon's edges are a prefix of
-    that order. Components are labelled once, at the largest threshold.
-    Walking the thresholds upwards, each epsilon's new pairs are ORed into
-    the bitsets of their component, and each component of 3 or more vertices
-    is searched as it stands; it holds every smaller component it splits
-    into at that epsilon, and the search finds them too.
-    Cliques are counted, never materialised as communities.
+    that order. Components are labelled and their bitsets packed once, at
+    the largest threshold. Walking the thresholds downwards, the bits of
+    every pair above each threshold are cleared, and each component of 3 or
+    more vertices is searched as it stands; it holds every smaller component
+    it splits into at that epsilon, and the search finds them too. Cliques
+    are counted, never materialised as communities, and the spanning forest
+    behind each epsilon's DEBUG line is computed only when DEBUG is on.
     """
     epsilons = list(epsilons)
     thresholds = [threshold(e, tol) for e in epsilons]
@@ -330,40 +318,29 @@ def count_maximal_communities(m: RsmMatrix, epsilons: Iterable[float],
     strength, edges = strength[order], edges[order]
     stops = np.searchsorted(strength, thresholds, side="right").tolist()
 
-    labels, sizes, degrees, vertices = _components(m.n, edges)
-    large = sizes >= 3
-    ks = sizes[large]
-    starts = np.cumsum(ks) - ks
-    # the pairs inside large components, in strength order, as (component,
-    # bit of u, bit of v); every other pair is the one pair of a 2-vertex component
-    inside = np.flatnonzero(large[labels[edges[:, 0]]])
-    u, v = edges[inside].T
-    bit = np.empty(m.n, dtype=np.intp)
-    bit[vertices] = np.arange(len(vertices)) - np.repeat(starts, ks)
-    new = list(zip((np.cumsum(large) - 1)[labels[u]].tolist(), bit[u].tolist(), bit[v].tolist()))
-    adjs = [[0] * k for k in ks.tolist()]
-    bounds = [degrees[vertices[s:s + k]].tolist() for s, k in zip(starts.tolist(), ks.tolist())]
-    trivial = m.n - len(vertices)  # vertices outside large components
-
-    found, done = {}, 0
-    for stop in sorted(set(stops)):
+    _, sizes, components, inside, pairs = _component_bitsets(m.n, edges)
+    adjs = [adj for _, adj, _ in components]  # cleared in place, pair by pair
+    trivial = int(sizes[sizes < 3].sum())  # vertices outside large components
+    found, done = {}, len(inside)
+    for stop in sorted(set(stops), reverse=True):
         upto = int(np.searchsorted(inside, stop))
-        for c, a, b in new[done:upto]:
-            adjs[c][a] |= 1 << b
-            adjs[c][b] |= 1 << a
+        for c, a, b in pairs[upto:done].tolist():
+            adjs[c][a] ^= 1 << b
+            adjs[c][b] ^= 1 << a
         # each pair of a 2-vertex component in the prefix joins its two singletons
         found[stop] = trivial - (stop - upto) + sum(
-            len(_maximal_cliques(adj, bound)) for adj, bound in zip(adjs, bounds))
+            len(_maximal_cliques(adj, bound)) for _, adj, bound in components)
         done = upto
 
-    merged, largest = _forest_merges(m.n, edges)
-    for epsilon, stop in zip(epsilons, stops):
-        joins = int(np.searchsorted(merged, stop))
-        log.debug(
-            "epsilon %g: %d related pairs, %d components (largest %d), "
-            "%d maximal communities", epsilon, stop, m.n - joins,
-            largest[joins - 1] if joins else 1, found[stop],
-        )
+    if log.isEnabledFor(logging.DEBUG):
+        merged, largest = _forest_merges(m.n, edges)
+        for epsilon, stop in zip(epsilons, stops):
+            joins = int(np.searchsorted(merged, stop))
+            log.debug(
+                "epsilon %g: %d related pairs, %d components (largest %d), "
+                "%d maximal communities", epsilon, stop, m.n - joins,
+                largest[joins - 1] if joins else 1, found[stop],
+            )
     return [found[stop] for stop in stops]
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 from rsmc import (
     Community,
@@ -367,6 +367,24 @@ def test_sweep_labels_components_once(monkeypatch):
         assert counts == [len(enumerate_maximal_communities(refine(m, e))) for e in epsilons]
 
 
+def test_sweep_builds_its_debug_forest_only_at_debug(monkeypatch, caplog):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return minimum_spanning_tree(*args, **kwargs)
+
+    monkeypatch.setattr(community, "minimum_spanning_tree", counted)
+    m = erf_matrix(load_builtin_dataset("karate"))
+    epsilons = [0.1 * k for k in range(21)]
+    for level, forests in ((logging.INFO, 0), (logging.DEBUG, 1)):
+        calls.clear()
+        with caplog.at_level(level, logger="rsmc.community"):
+            counts = count_maximal_communities(m, epsilons)
+        assert len(calls) == forests
+        assert counts == [len(enumerate_maximal_communities(refine(m, e))) for e in epsilons]
+
+
 def _hub_and_triangles():
     """Strengths on 11 vertices: triangles {0, 1, 2}, {3, 4, 5} and {6, 7, 8} at 1,
     a bridge {5, 6} at 1.5, and the hub 10, with the largest label and the most
@@ -557,6 +575,26 @@ def test_enumeration_matches_on_large_sparse_graph():
     found = enumerate_maximal_communities(eeg_from(n, pairs))
     assert len(found) == 400
     assert members(found) == [(3 * t, 3 * t + 1, 3 * t + 2) for t in range(400)]
+
+
+def test_enumeration_peak_is_bounded_by_the_largest_component():
+    # 30 groups of 200 vertices, interleaved, with 400 random pairs in each;
+    # each large component is packed from its own square of at most 40 KB
+    rng = np.random.RandomState(11)
+    label = rng.permutation(6000)
+    pairs = set()
+    for group in label.reshape(30, 200):
+        a, b = group[rng.randint(0, 200, (2, 400))]
+        pairs.update((min(u, v), max(u, v)) for u, v in zip(a.tolist(), b.tolist()) if u != v)
+    eeg = eeg_from(6000, pairs)
+    tracemalloc.start()
+    try:
+        found = enumerate_maximal_communities(eeg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(c.members) == 2 for c in found) > 30 * 300
+    assert peak < 12e6  # one bool square over all large components peaked at 40 MB
 
 
 def test_enumerate_dense_threshold_gives_one_community():

@@ -247,3 +247,14 @@ def test_one_text_rule():
     assert [name for name, text in texts.items() if "is_ascii_number" in text] == []
     assert _callers("isascii") == ["graph.py: number"]
     assert _callers("text_lines") == ["graph.py: parse_edge_list", "rsm.py: rsm_from_csv"]
+
+
+def test_one_bitset_builder():
+    # detect and the sweep pack their bitsets in community._component_bitsets,
+    # and the Tomita search is the only search either runs
+    assert _callers("packbits") == ["community.py: _component_bitsets"]
+    assert _callers("from_bytes") == ["community.py: _component_bitsets"]
+    assert _callers("_maximal_cliques") == ["community.py: enumerate_maximal_communities",
+                                            "community.py: count_maximal_communities"]
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if "_component_cliques" in path.read_text(encoding="utf-8")] == []
